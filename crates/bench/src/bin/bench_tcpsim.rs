@@ -30,7 +30,8 @@ use std::rc::Rc;
 use std::time::Instant;
 use tcpsim::sock::{SimTcpStream, SockApp};
 use tcpsim::{
-    App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, Sim, TcpOptions,
+    App, Capture, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, Sim,
+    TcpOptions,
 };
 
 /// Per-connection bookkeeping of the benchmark application.
@@ -176,7 +177,10 @@ struct Workload {
 fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
     let app = BenchApp::new(400, w.response, w.chunks, tracing);
     let mut sim = Sim::new(42, app);
-    sim.net().trace_mut().set_enabled(tracing);
+    // Both ends of every connection: the cell prices the full record
+    // path, not a vantage subset of it.
+    let capture = if tracing { Capture::All } else { Capture::Off };
+    sim.net().trace_mut().set_capture(capture);
     // Explicit per-cell telemetry gate: cells must not depend on the
     // ambient FECDN_METRICS value.
     sim.net().metrics_mut().set_enabled(telemetry);
@@ -219,7 +223,7 @@ fn run_workload(w: &Workload, tracing: bool, telemetry: bool) -> Cell {
 /// executor/waker/command-queue overhead of the facade itself.
 fn run_workload_facade(w: &Workload) -> Cell {
     let mut sim = Sim::new(42, SockApp::new());
-    sim.net().trace_mut().set_enabled(false);
+    sim.net().trace_mut().set_capture(Capture::Off);
     sim.net().metrics_mut().set_enabled(false);
     let rt = sim.with(|app, _| app.host.rt());
     let finished = Rc::new(RefCell::new(0usize));
@@ -343,7 +347,7 @@ fn facade_overhead(w: &Workload, pairs: u32) -> (f64, f64, f64) {
 fn build_fleet_world(w: &Workload, seed: u64) -> Sim<BenchApp> {
     let app = BenchApp::new(400, w.response, w.chunks, false);
     let mut sim = Sim::new(seed, app);
-    sim.net().trace_mut().set_enabled(false);
+    sim.net().trace_mut().set_capture(Capture::Off);
     sim.net().metrics_mut().set_enabled(false);
     for s in 0..w.sessions {
         let path = PathParams::lossy(w.rtt_ms, w.loss);

@@ -69,17 +69,20 @@ fn strategies() -> [(&'static str, MappingPolicy); 3] {
 const INTENSITIES: [(&str, u64); 3] = [("calm", 400), ("busy", 12), ("flash", 2)];
 
 /// A burst of `n` queries from three co-located clients, `gap_ms`
-/// apart: the whole crowd lands on (at most) three nearest FEs.
+/// apart: the whole crowd lands on (at most) three nearest FEs. Query
+/// `i` asks for keyword `i`, wrapping around the corpus when the burst
+/// is longer than it.
 fn crowd_design(n: usize, gap_ms: u64) -> Design {
     Design::custom(move |sim| {
         sim.with(|w, net| {
+            let keywords = w.corpus().len();
             for i in 0..n {
                 w.schedule_query(
                     net,
                     SimDuration::from_millis(1 + gap_ms * i as u64),
                     QuerySpec {
                         client: i % 3,
-                        keyword: i as u64,
+                        keyword: (i % keywords) as u64,
                         fixed_fe: None,
                         instant_followup: false,
                     },

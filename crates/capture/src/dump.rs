@@ -92,7 +92,7 @@ pub fn render_client_view(events: &[PktEvent], client: NodeId) -> Result<String,
         trace.rtt_ms,
         trace.bytes_received()
     );
-    let mut all: Vec<&PktEvent> = trace.tx_all.iter().chain(trace.rx_all.iter()).collect();
+    let mut all: Vec<&PktEvent> = trace.tx_all.iter().chain(&trace.rx_all).copied().collect();
     all.sort_by_key(|e| e.t);
     for ev in all {
         out.push_str(&render_line(ev));

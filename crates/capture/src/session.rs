@@ -6,15 +6,15 @@ use tcpsim::{NodeId, PktDir, PktEvent, PktKind};
 
 /// The packet events of one session as observed at the client, split
 /// into transmit and receive sides, with the handshake landmarks
-/// extracted.
+/// extracted. The sides borrow the session's events; nothing is copied.
 #[derive(Clone, Debug)]
-pub struct ClientTrace {
+pub struct ClientTrace<'a> {
     /// Data-bearing packets received by the client, in time order.
-    pub rx_data: Vec<PktEvent>,
+    pub rx_data: Vec<&'a PktEvent>,
     /// All packets received by the client (ACKs included).
-    pub rx_all: Vec<PktEvent>,
+    pub rx_all: Vec<&'a PktEvent>,
     /// All packets transmitted by the client.
-    pub tx_all: Vec<PktEvent>,
+    pub tx_all: Vec<&'a PktEvent>,
     /// Time the first SYN left (`tb` in the paper's Fig. 2).
     pub tb: SimTime,
     /// Handshake RTT estimate: first SYN-ACK arrival − first SYN
@@ -22,12 +22,16 @@ pub struct ClientTrace {
     pub rtt_ms: Option<f64>,
 }
 
-impl ClientTrace {
+impl<'a> ClientTrace<'a> {
     /// Filters `events` down to those observed at `client`, requiring at
     /// least a transmitted SYN. Fails with
     /// [`SessionError::NoClientSyn`] for traces with no client-side SYN
     /// (capture started mid-session, or the wrong node was named).
-    pub fn new(events: &[PktEvent], client: NodeId) -> Result<ClientTrace, SessionError> {
+    ///
+    /// A client-vantage capture holds only `client`'s events, so the
+    /// filter rejects nothing there; it keeps traces captured at every
+    /// node correct.
+    pub fn new(events: &'a [PktEvent], client: NodeId) -> Result<ClientTrace<'a>, SessionError> {
         let mut rx_data = Vec::new();
         let mut rx_all = Vec::new();
         let mut tx_all = Vec::new();
@@ -38,11 +42,11 @@ impl ClientTrace {
             match ev.dir {
                 PktDir::Rx => {
                     if ev.kind == PktKind::Data && ev.len > 0 {
-                        rx_data.push(ev.clone());
+                        rx_data.push(ev);
                     }
-                    rx_all.push(ev.clone());
+                    rx_all.push(ev);
                 }
-                PktDir::Tx => tx_all.push(ev.clone()),
+                PktDir::Tx => tx_all.push(ev),
                 PktDir::Drop => {}
             }
         }
@@ -154,7 +158,8 @@ mod tests {
 
     #[test]
     fn extracts_landmarks() {
-        let tr = ClientTrace::new(&sample_session(), NodeId(1)).unwrap();
+        let evs = sample_session();
+        let tr = ClientTrace::new(&evs, NodeId(1)).unwrap();
         assert_eq!(tr.tb, SimTime::ZERO);
         assert_eq!(tr.rtt_ms, Some(50.0));
         assert_eq!(tr.t1(), Some(SimTime::from_millis(50)));
@@ -167,7 +172,8 @@ mod tests {
 
     #[test]
     fn ignores_other_nodes() {
-        let tr = ClientTrace::new(&sample_session(), NodeId(1)).unwrap();
+        let evs = sample_session();
+        let tr = ClientTrace::new(&evs, NodeId(1)).unwrap();
         assert!(tr.tx_all.iter().all(|e| e.node == NodeId(1)));
     }
 

@@ -83,13 +83,7 @@ impl Timeline {
         // Landmark times come from packet arrival order; when most of the
         // payload is retransmitted copies, that order reflects loss
         // recovery rather than server behaviour — refuse to measure.
-        let mut seen = std::collections::HashSet::new();
-        let dup = trace
-            .rx_data
-            .iter()
-            .filter(|e| !seen.insert((e.seq, e.len)))
-            .count();
-        if dup > trace.rx_data.len() / 2 {
+        if duplicate_count(trace.rx_data.iter().map(|e| (e.seq, e.len))) > trace.rx_data.len() / 2 {
             return Err(TimelineError::RetransmissionHeavy);
         }
         // A response consisting solely of error-stub bytes (a shed
@@ -142,6 +136,16 @@ impl Timeline {
             total_bytes,
         })
     }
+}
+
+/// Number of repeated `(seq, len)` keys: every occurrence of a key after
+/// its first, i.e. the key count minus the number of distinct keys.
+fn duplicate_count(keys: impl Iterator<Item = (u64, u32)>) -> usize {
+    let mut keys: Vec<(u64, u32)> = keys.collect();
+    let n = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    n - keys.len()
 }
 
 #[cfg(test)]
@@ -445,7 +449,45 @@ mod tests {
         );
         // A couple of duplicates (ordinary loss recovery) still extract.
         let mut light = session();
-        light.push(dup);
+        light.push(dup.clone());
         assert!(Timeline::extract(&light, NodeId(1), &Classifier::ByMarker).is_ok());
+        // The boundary: with 4 fresh payload packets plus `k` copies,
+        // `k == len / 2` still extracts and `k == len / 2 + 1` does not.
+        for (copies, ok) in [(4, true), (5, false)] {
+            let mut evs = session();
+            evs.extend(std::iter::repeat_n(dup.clone(), copies));
+            let rx_data = 4 + copies;
+            assert_eq!(copies == rx_data / 2, ok);
+            let got = Timeline::extract(&evs, NodeId(1), &Classifier::ByMarker);
+            assert_eq!(got.is_ok(), ok, "{copies} copies: {got:?}");
+            if !ok {
+                assert_eq!(got.unwrap_err(), TimelineError::RetransmissionHeavy);
+            }
+        }
+    }
+
+    mod duplicates {
+        use super::super::duplicate_count;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The sorted-key count agrees with the first-seen rule: a
+            /// reception is a duplicate when its `(seq, len)` key was
+            /// already seen. Small key ranges force many repeats.
+            #[test]
+            fn sorted_count_matches_hash_set_reference(
+                keys in prop::collection::vec((0u64..8, 0u32..3), 0..48),
+                stride in 1u64..4_000_000_000,
+            ) {
+                let keys: Vec<(u64, u32)> =
+                    keys.into_iter().map(|(s, l)| (s * stride, l * 1460)).collect();
+                let mut seen = HashSet::new();
+                let reference = keys.iter().filter(|k| !seen.insert(**k)).count();
+                prop_assert_eq!(duplicate_count(keys.iter().copied()), reference);
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::service::ServiceConfig;
 use crate::world::ServiceWorld;
 use nettopo::vantage::Vantage;
 use searchbe::keywords::KeywordCorpus;
-use tcpsim::Sim;
+use tcpsim::{Capture, Sim};
 
 /// Everything needed to construct one simulator world.
 #[derive(Clone, Debug)]
@@ -28,18 +28,27 @@ pub struct WorldSpec {
     /// The FE/BE stochastic models are keyed on `cfg.seed` instead.
     pub world_seed: u64,
     /// Whether packet tracing is enabled (required for timeline
-    /// extraction; off only for throwaway planning worlds).
+    /// extraction; off only for throwaway planning worlds). Tracing
+    /// captures at the client vantage
+    /// ([`ServiceWorld::client_capture`]), like the paper's client-side
+    /// tcpdump.
     pub trace: bool,
 }
 
 impl WorldSpec {
     /// Builds the ready-to-run simulator: constructs the world, seeds the
-    /// network, enables tracing as configured, and installs any fault
-    /// plan attached to the config (a no-op for the default empty plan).
+    /// network, sets the capture point as configured, and installs any
+    /// fault plan attached to the config (a no-op for the default empty
+    /// plan).
     pub fn build(&self) -> Sim<ServiceWorld> {
         let world = ServiceWorld::new(self.cfg.clone(), self.vantages.clone(), self.corpus.clone());
         let mut sim = Sim::new(self.world_seed, world);
-        sim.net().trace_mut().set_enabled(self.trace);
+        let capture = if self.trace {
+            ServiceWorld::client_capture()
+        } else {
+            Capture::Off
+        };
+        sim.net().trace_mut().set_capture(capture);
         sim.with(|w, net| w.install_faults(net));
         sim
     }

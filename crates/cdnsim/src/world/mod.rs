@@ -41,7 +41,7 @@ use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use tcpsim::{
-    App, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
+    App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
 };
 
 mod actions;
@@ -163,8 +163,10 @@ pub struct CompletedQuery {
     pub rtt_fe_be_ms: f64,
     /// FE↔BE great-circle distance in miles.
     pub dist_fe_be_miles: f64,
-    /// All packet events of this query's session (client, FE and BE
-    /// observations; filter by node for the client-side view).
+    /// The packet events of this query's session recorded at the world's
+    /// capture point: the client's observations only under the default
+    /// client-vantage capture ([`ServiceWorld::client_capture`]), client,
+    /// FE and BE observations under [`Capture::All`].
     pub trace: Vec<PktEvent>,
     /// False when packet tracing was off while this query ran: the empty
     /// `trace` means "not captured", not "no packets" — downstream
@@ -502,6 +504,13 @@ impl ServiceWorld {
     /// Node id of a client.
     pub fn client_node(client: usize) -> NodeId {
         NodeId(client as u32)
+    }
+
+    /// The client-vantage capture point: records what the clients
+    /// observe and nothing the FEs or BEs do. Client node ids lie below
+    /// [`FE_NODE_BASE`].
+    pub fn client_capture() -> Capture {
+        Capture::Below(NodeId(FE_NODE_BASE))
     }
 
     /// Node id of an FE.

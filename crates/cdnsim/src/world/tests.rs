@@ -13,7 +13,8 @@ fn small_world(cfg: ServiceConfig) -> Sim<ServiceWorld> {
     let corpus = KeywordCorpus::generate(cfg.seed, 200, 0.5);
     let world = ServiceWorld::new(cfg, vantages, corpus);
     let mut sim = Sim::new(7, world);
-    sim.net().trace_mut().set_enabled(true);
+    // The FE/BE view: several tests assert server-side observations.
+    sim.net().trace_mut().set_capture(Capture::All);
     sim
 }
 

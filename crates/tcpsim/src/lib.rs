@@ -61,4 +61,4 @@ pub use net::{
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 pub use sock::{AsyncHost, SimTcpListener, SimTcpStream, SockApp, SockRt};
-pub use trace::{PktDir, PktEvent, TraceLog};
+pub use trace::{Capture, PktDir, PktEvent, TraceLog};

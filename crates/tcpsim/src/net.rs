@@ -335,7 +335,8 @@ impl Net {
         &self.trace
     }
 
-    /// Mutable access to the packet trace store (enable/take sessions).
+    /// Mutable access to the packet trace store (set the capture point,
+    /// take sessions).
     pub fn trace_mut(&mut self) -> &mut TraceLog {
         &mut self.trace
     }
@@ -1369,7 +1370,9 @@ mod tests {
     #[test]
     fn trace_captures_handshake_and_data() {
         let mut sim = Sim::new(42, Echoish::new(400, 5000));
-        sim.net().trace_mut().set_enabled(true);
+        sim.net()
+            .trace_mut()
+            .set_capture(crate::trace::Capture::All);
         sim.net().open(
             NodeId(1),
             NodeId(2),

@@ -2,11 +2,13 @@
 //!
 //! Every transmitted, received and dropped packet can be recorded as a
 //! [`PktEvent`] tagged with the observing node, the connection, and the
-//! application-assigned *session* id (`user`). The capture/analysis
-//! pipeline consumes traces **per session** via [`TraceLog::take_session`]
-//! so long experiment runs do not accumulate gigabytes of events: the
-//! harness extracts each query's timeline as soon as the query completes
-//! and drops the raw packets.
+//! application-assigned *session* id (`user`). Which observing nodes are
+//! recorded is the log's [`Capture`] point: like tcpdump, the capture
+//! runs somewhere — usually at the client vantage only. The
+//! capture/analysis pipeline consumes traces **per session** via
+//! [`TraceLog::take_session`] so long experiment runs do not accumulate
+//! gigabytes of events: the harness extracts each query's timeline as
+//! soon as the query completes and drops the raw packets.
 
 use crate::net::{ConnId, NodeId};
 use crate::segment::{PktKind, Segment, SpanVec};
@@ -82,6 +84,37 @@ impl Hasher for SessionHasher {
     }
 }
 
+/// Where packets are captured: which observing nodes a [`TraceLog`]
+/// records.
+///
+/// The capture point only selects what is written down; it never
+/// changes what the network does, so every simulated trajectory is the
+/// same under any setting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Capture {
+    /// Nothing is recorded.
+    #[default]
+    Off,
+    /// Observations at nodes whose id is below the bound are recorded
+    /// (a vantage capture: applications number their client hosts
+    /// below their server hosts).
+    Below(NodeId),
+    /// Observations at every node are recorded.
+    All,
+}
+
+impl Capture {
+    /// True when an observation at `node` is recorded.
+    #[inline]
+    pub fn records(self, node: NodeId) -> bool {
+        match self {
+            Capture::Off => false,
+            Capture::Below(bound) => node < bound,
+            Capture::All => true,
+        }
+    }
+}
+
 /// One session's event buffer in the arena.
 #[derive(Debug)]
 struct Bucket {
@@ -95,13 +128,13 @@ struct Bucket {
 /// Buffers are held in an arena (`buckets`) addressed through a
 /// session-id index; `last` caches the bucket of the most recent record
 /// so the common case — consecutive packets of the same session — skips
-/// the index entirely. Buckets freed by [`TraceLog::take_session`] are
-/// recycled with their capacity, so a long campaign that extracts each
-/// query's trace as it completes reaches a steady state where recording
-/// allocates nothing.
+/// the index entirely. [`TraceLog::take_session`] hands the session's
+/// buffer itself to the caller and recycles only the arena slot: the
+/// slot's next tenant starts from an empty buffer, so each traced
+/// session allocates (and grows) its own event vector.
 #[derive(Debug, Default)]
 pub struct TraceLog {
-    enabled: bool,
+    capture: Capture,
     index: HashMap<u64, usize, BuildHasherDefault<SessionHasher>>,
     buckets: Vec<Bucket>,
     free: Vec<usize>,
@@ -112,19 +145,14 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Creates a trace log; recording starts disabled.
+    /// Creates a trace log; recording starts [`Capture::Off`].
     pub fn new() -> TraceLog {
         TraceLog::default()
     }
 
-    /// Enables or disables recording (throughput benches disable it).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// True when recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// Sets the capture point. Events already buffered stay buffered.
+    pub fn set_capture(&mut self, capture: Capture) {
+        self.capture = capture;
     }
 
     /// Total events recorded since creation (including taken ones).
@@ -132,7 +160,9 @@ impl TraceLog {
         self.recorded
     }
 
-    /// Records a packet observation.
+    /// Records a packet observation made at `node`, if `node` lies
+    /// inside the capture point.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -143,7 +173,7 @@ impl TraceLog {
         dir: PktDir,
         seg: &Segment,
     ) {
-        if !self.enabled {
+        if !self.capture.records(node) {
             return;
         }
         self.recorded += 1;
@@ -176,17 +206,16 @@ impl TraceLog {
             return idx;
         }
         let idx = match self.free.pop() {
-            // Recycled slot: keeps the previous tenant's capacity.
+            // Recycled slot: its buffer left with the previous tenant
+            // (`detach`), so this session's buffer grows from empty.
             Some(idx) => idx,
             None => {
                 self.buckets.push(Bucket {
                     session,
                     in_use: false,
-                    // Pre-size fresh buffers: even a loss-free
-                    // request/response session records a few dozen
-                    // events per observing node, so growing from
-                    // capacity 0 (4, 8, ...) reallocates several times
-                    // per session on the hot path.
+                    // Pre-size the arena's first buffers: even a
+                    // loss-free request/response session records a few
+                    // dozen events per observing node.
                     events: Vec::with_capacity(32),
                 });
                 self.buckets.len() - 1
@@ -222,14 +251,14 @@ impl TraceLog {
 
     /// Like [`TraceLog::take_session`], but distinguishes "tracing is
     /// off" from "this session recorded no packets": returns `None` when
-    /// no events are buffered for the session **and** recording is
-    /// disabled. Harnesses use this to surface a typed
+    /// no events are buffered for the session **and** the capture point
+    /// is [`Capture::Off`]. Harnesses use this to surface a typed
     /// tracing-was-disabled error instead of silently analysing an empty
     /// timeline.
     pub fn try_take_session(&mut self, session: u64) -> Option<Vec<PktEvent>> {
         match self.detach(session) {
             Some(events) => Some(events),
-            None if self.enabled => Some(Vec::new()),
+            None if self.capture != Capture::Off => Some(Vec::new()),
             None => None,
         }
     }
@@ -287,7 +316,7 @@ mod tests {
     #[test]
     fn try_take_distinguishes_disabled_from_quiet_session() {
         let mut log = TraceLog::new();
-        log.set_enabled(true);
+        log.set_capture(Capture::All);
         // Tracing on, session never saw a packet: a legitimate empty
         // timeline, not an error.
         assert_eq!(log.try_take_session(3), Some(Vec::new()));
@@ -295,15 +324,41 @@ mod tests {
         assert_eq!(log.try_take_session(5).map(|v| v.len()), Some(1));
         // Events buffered before tracing was switched off still come out.
         log.record(SimTime::ZERO, NodeId(1), ConnId(0), 6, PktDir::Tx, &seg());
-        log.set_enabled(false);
+        log.set_capture(Capture::Off);
         assert_eq!(log.try_take_session(6).map(|v| v.len()), Some(1));
         assert_eq!(log.try_take_session(6), None);
     }
 
     #[test]
+    fn capture_point_selects_observing_nodes() {
+        let mut log = TraceLog::new();
+        log.set_capture(Capture::Below(NodeId(10)));
+        for node in [3u32, 9, 10, 2_000] {
+            log.record(
+                SimTime::ZERO,
+                NodeId(node),
+                ConnId(0),
+                1,
+                PktDir::Rx,
+                &seg(),
+            );
+        }
+        let nodes: Vec<u32> = log.take_session(1).iter().map(|e| e.node.0).collect();
+        assert_eq!(nodes, [3, 9], "only nodes below the bound are captured");
+        assert_eq!(log.recorded(), 2, "the counter sees captured events only");
+        // A session observed only outside the capture point is a quiet
+        // session, not a tracing-disabled one.
+        log.record(SimTime::ZERO, NodeId(10), ConnId(0), 2, PktDir::Tx, &seg());
+        assert_eq!(log.try_take_session(2), Some(Vec::new()));
+        log.set_capture(Capture::All);
+        log.record(SimTime::ZERO, NodeId(10), ConnId(0), 3, PktDir::Tx, &seg());
+        assert_eq!(log.take_session(3).len(), 1);
+    }
+
+    #[test]
     fn records_and_takes_by_session() {
         let mut log = TraceLog::new();
-        log.set_enabled(true);
+        log.set_capture(Capture::All);
         for session in [7u64, 7, 9] {
             log.record(
                 SimTime::from_millis(session),
@@ -328,11 +383,11 @@ mod tests {
     #[test]
     fn buckets_are_recycled_after_take() {
         // Campaign pattern: record a session, take it, record the next.
-        // The arena must reuse the freed slot (with its capacity) instead
-        // of growing, and interleaved sessions must not cross-talk
-        // through the last-bucket cache.
+        // The arena must reuse the freed slot instead of growing, and
+        // interleaved sessions must not cross-talk through the
+        // last-bucket cache.
         let mut log = TraceLog::new();
-        log.set_enabled(true);
+        log.set_capture(Capture::All);
         for session in 0..100u64 {
             let other = session + 1_000;
             for _ in 0..3 {
@@ -372,7 +427,7 @@ mod tests {
     #[test]
     fn event_fields_copied_from_segment() {
         let mut log = TraceLog::new();
-        log.set_enabled(true);
+        log.set_capture(Capture::All);
         log.record(
             SimTime::from_millis(3),
             NodeId(4),

@@ -126,7 +126,9 @@ fn one_query(
         scenario.corpus.clone(),
     );
     let mut sim = Sim::new(scenario.seed, world);
-    sim.net().trace_mut().set_enabled(true);
+    sim.net()
+        .trace_mut()
+        .set_capture(ServiceWorld::client_capture());
     sim.with(|w, net| {
         w.schedule_query(
             net,

@@ -266,6 +266,32 @@ for msg in fail:
 sys.exit(1 if fail else 0)
 EOF
 
+echo "==> end-to-end benchmark correctness gate: bench_e2e tests + one short run per workload"
+# bench_e2e is a package of its own. Its correctness gate compares each
+# run's per-query digest with the committed bench_e2e/digests.tsv at
+# seed 42, so a "performance" change that moves any simulated result
+# fails here. The tests share run.py's build directory.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+  cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+for w in fig5-paper churn-sessions flash-remap; do
+  python3 bench_e2e/run.py --workload "$w" --seed 42 --seconds 3 --trace 0 \
+    > "/tmp/ci_bench_e2e_$w.out" 2> "/tmp/ci_bench_e2e_$w.log" || true
+  python3 - "$w" "/tmp/ci_bench_e2e_$w.out" <<'EOF'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+lines = [l for l in open(path).read().splitlines() if l.strip()]
+try:
+    doc = json.loads(lines[-1])
+except (IndexError, ValueError):
+    print(f"bench_e2e {workload}: no JSON result line", file=sys.stderr)
+    sys.exit(1)
+if doc.get("correct") is not True:
+    print(f"bench_e2e {workload}: correctness gate failed", file=sys.stderr)
+    sys.exit(1)
+print(f"    {workload}: correct ({doc['attempted']} queries)")
+EOF
+done
+
 echo "==> bench artifact schema check (BENCH_*.json and baselines)"
 python3 - <<'EOF'
 import json, sys

@@ -1,9 +1,10 @@
-//! Helpers shared by the determinism and telemetry conformance suites:
-//! the representative campaign and the golden-file comparison protocol.
+//! Helpers shared by the integration suites: the representative
+//! campaign, an overloading burst design, and the golden-file
+//! comparison protocol.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use cdnsim::ServiceConfig;
+use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;
 use emulator::{Campaign, Design, Scenario};
@@ -74,6 +75,29 @@ pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) ->
     run.keep_raw = true;
     run.metrics = metrics;
     c
+}
+
+/// One scheduled burst: `n` clients fire at t = 1 ms, half pinned to
+/// client 0's default FE so admission control and the load model see
+/// real contention.
+pub fn burst_design(n: usize) -> Design {
+    Design::custom(move |sim| {
+        sim.with(|w, net| {
+            let fe = w.default_fe(0);
+            for client in 0..n {
+                w.schedule_query(
+                    net,
+                    SimDuration::from_millis(1 + (client as u64 % 3) * 40),
+                    QuerySpec {
+                        client,
+                        keyword: client as u64,
+                        fixed_fe: if client % 2 == 0 { Some(fe) } else { None },
+                        instant_followup: false,
+                    },
+                );
+            }
+        });
+    })
 }
 
 /// Path of a committed golden file.

@@ -14,7 +14,7 @@
 mod common;
 
 use cdnsim::{BreakerPolicy, QueryOutcome, QuerySpec, RetryBudget, RetryPolicy, ServiceConfig};
-use common::representative_campaign;
+use common::{burst_design, representative_campaign};
 use emulator::{Campaign, Design, Scenario};
 use nettopo::{BurstLossParams, FaultPlan};
 use proptest::prelude::*;
@@ -123,29 +123,6 @@ fn disabled_overload_matches_committed_golden() {
         "campaign_seed42.tsv",
         "overload policies armed but inert",
     );
-}
-
-/// One scheduled burst: `n` clients fire at t = 1 ms, half pinned to
-/// client 0's default FE so admission control and the load model see
-/// real contention.
-fn burst_design(n: usize) -> Design {
-    Design::custom(move |sim| {
-        sim.with(|w, net| {
-            let fe = w.default_fe(0);
-            for client in 0..n {
-                w.schedule_query(
-                    net,
-                    SimDuration::from_millis(1 + (client as u64 % 3) * 40),
-                    QuerySpec {
-                        client,
-                        keyword: client as u64,
-                        fixed_fe: if client % 2 == 0 { Some(fe) } else { None },
-                        instant_followup: false,
-                    },
-                );
-            }
-        });
-    })
 }
 
 proptest! {

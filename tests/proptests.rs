@@ -114,7 +114,7 @@ proptest! {
             spans_seen: Vec::new(),
             done: false,
         });
-        sim.net().trace_mut().set_enabled(true);
+        sim.net().trace_mut().set_capture(tcpsim::Capture::All);
         let path = PathParams {
             base_owd_ms: rtt_ms / 2.0,
             // Heavy jitter relative to serialization gaps.

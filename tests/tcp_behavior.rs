@@ -4,8 +4,8 @@
 use simcore::dist::Dist;
 use simcore::time::{SimDuration, SimTime};
 use tcpsim::{
-    App, CongAlgo, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir, PktKind,
-    Sim, TcpOptions,
+    App, Capture, CongAlgo, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, PktDir,
+    PktKind, Sim, TcpOptions,
 };
 
 /// Server sends `response` bytes on connect; the client app records
@@ -48,7 +48,7 @@ fn trace_run(
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
+    sim.net().trace_mut().set_capture(Capture::All);
     sim.net().open(
         NodeId(1),
         NodeId(2),
@@ -130,7 +130,7 @@ fn receive_window_caps_the_flight() {
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
+    sim.net().trace_mut().set_capture(Capture::All);
     sim.net().open(
         NodeId(1),
         NodeId(2),
@@ -176,7 +176,7 @@ fn rto_backoff_doubles_under_blackout_and_recovers() {
             got: 0,
         },
     );
-    sim.net().trace_mut().set_enabled(true);
+    sim.net().trace_mut().set_capture(Capture::All);
     sim.net().open(
         NodeId(1),
         NodeId(2),
@@ -241,7 +241,7 @@ fn idle_reset_restarts_slow_start_on_stale_connections() {
             TcpOptions::default()
         };
         let mut sim = Sim::new(13, TwoBursts { second_sent: false });
-        sim.net().trace_mut().set_enabled(true);
+        sim.net().trace_mut().set_capture(Capture::All);
         sim.net().open(
             NodeId(1),
             NodeId(2),
