@@ -22,8 +22,7 @@
 //! `map/cell`, so every arm draws the same per-run RNG streams and the
 //! p95 differences are strategy effect, not run-seed noise. (Labels
 //! seed the per-run RNG, so distinct labels would confound the
-//! comparison — the engine-equivalence suite relies on the same
-//! property.)
+//! comparison.)
 //!
 //! Paper-shaped claim asserted: the p95 end-to-end latency *crossover
 //! exists* — proximity wins (ties) when calm, load-aware wins once the

@@ -46,8 +46,8 @@ pub use mapping::{
     NearestLive,
 };
 pub use service::{
-    AdmissionControl, BreakerPolicy, EngineKind, FeLoadProfile, HedgePolicy, LoadModel,
-    OverloadPolicy, RetryBudget, RetryPolicy, ServiceConfig,
+    AdmissionControl, BreakerPolicy, FeLoadProfile, HedgePolicy, LoadModel, OverloadPolicy,
+    RetryBudget, RetryPolicy, ServiceConfig,
 };
 pub use spec::WorldSpec;
 pub use world::{CompletedQuery, QueryOutcome, QuerySpec, ServiceWorld};

@@ -35,8 +35,7 @@
 //! All their state lives in plain indexed vectors or key-addressed maps
 //! that are never iterated, so resolution is a pure function of
 //! (virtual time, client, fault plan, inflight counts, own history) —
-//! byte-identical at any worker-thread count and on either serving
-//! engine.
+//! byte-identical at any worker-thread count.
 //!
 //! # Liveness contract
 //!

@@ -304,37 +304,10 @@ pub struct ServiceConfig {
     pub load_model: Option<LoadModel>,
     /// Overload-protection policies; all off by default.
     pub overload: OverloadPolicy,
-    /// Which serving engine drives the FE/BE state machines. The
-    /// default honors `FECDN_ENGINE` (`async` selects the facade).
-    pub engine: EngineKind,
     /// Client→FE mapping strategy. The default, `NearestLive`, is the
     /// historical behaviour extracted verbatim — trajectories are
     /// byte-identical to builds without the strategy layer.
     pub mapping: MappingPolicy,
-}
-
-/// Which implementation of the serving state machines drives the
-/// world: the legacy callback/`Action` dispatch, or async tasks on the
-/// `tcpsim::sock` facade. Both produce byte-identical trajectories —
-/// the legacy engine is kept as the equivalence oracle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Hand-rolled callback state machines + `Action` timer dispatch.
-    Legacy,
-    /// Async tasks over `SimTcpStream`, world logic as awaitable calls.
-    AsyncFacade,
-}
-
-impl EngineKind {
-    /// The engine selected by the `FECDN_ENGINE` environment variable:
-    /// `async` (or `facade`) picks [`EngineKind::AsyncFacade`], anything
-    /// else — including unset — the legacy engine.
-    pub fn from_env() -> EngineKind {
-        match std::env::var("FECDN_ENGINE").ok().as_deref() {
-            Some("async") | Some("facade") => EngineKind::AsyncFacade,
-            _ => EngineKind::Legacy,
-        }
-    }
 }
 
 impl ServiceConfig {
@@ -370,7 +343,6 @@ impl ServiceConfig {
             dns_ttl: SimDuration::from_secs(60),
             load_model: None,
             overload: OverloadPolicy::default(),
-            engine: EngineKind::from_env(),
             mapping: MappingPolicy::NearestLive,
         }
     }
@@ -407,7 +379,6 @@ impl ServiceConfig {
             dns_ttl: SimDuration::from_secs(60),
             load_model: None,
             overload: OverloadPolicy::default(),
-            engine: EngineKind::from_env(),
             mapping: MappingPolicy::NearestLive,
         }
     }
@@ -529,14 +500,6 @@ impl ServiceConfig {
     pub fn with_circuit_breaker(mut self, policy: BreakerPolicy) -> ServiceConfig {
         assert!(policy.failure_threshold > 0);
         self.overload.breaker = Some(policy);
-        self
-    }
-
-    /// Pins the serving engine, overriding the `FECDN_ENGINE` default
-    /// the presets picked up. The equivalence suite uses this to run
-    /// the same configuration on both engines side by side.
-    pub fn with_engine(mut self, engine: EngineKind) -> ServiceConfig {
-        self.engine = engine;
         self
     }
 

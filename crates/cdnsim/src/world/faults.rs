@@ -67,9 +67,9 @@ impl ServiceWorld {
     }
 
     /// Arms the strategy's re-mapping epoch timer if the strategy has
-    /// one and it is not already scheduled. Called at query start from
-    /// both engines' shared core, so epoch timers exist exactly when
-    /// work is (or was recently) in flight.
+    /// one and it is not already scheduled. Called at query start, so
+    /// epoch timers exist exactly when work is (or was recently) in
+    /// flight.
     pub(super) fn arm_mapping_epoch(&mut self, net: &mut Net) {
         if self.epoch_armed {
             return;

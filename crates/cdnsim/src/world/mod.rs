@@ -47,7 +47,6 @@ use tcpsim::{
 mod actions;
 mod faults;
 mod query;
-mod tasks;
 #[cfg(test)]
 mod tests;
 
@@ -346,10 +345,6 @@ pub struct ServiceWorld {
     // Observe-only service-layer telemetry (cache hits, failovers, DNS
     // re-maps). Draws no randomness and schedules nothing.
     metrics: MetricsRegistry,
-    // The async serving engine (`EngineKind::AsyncFacade`): query
-    // lifecycles as facade tasks, world logic as awaitable calls. `None`
-    // selects the legacy callback/`Action` state machines.
-    engine: Option<tasks::AsyncEngine>,
 }
 
 impl ServiceWorld {
@@ -409,10 +404,6 @@ impl ServiceWorld {
         let retry_rng = Rng::from_seed_and_name(cfg.seed, "cdnsim/retry");
         let n_fes = fes.len();
         let n_bes = bes.len();
-        let engine = match cfg.engine {
-            crate::service::EngineKind::Legacy => None,
-            crate::service::EngineKind::AsyncFacade => Some(tasks::AsyncEngine::new()),
-        };
         let mapper = Mapper::from_policy(&cfg.mapping, n_fes, cfg.dns_ttl);
         ServiceWorld {
             cfg,
@@ -439,33 +430,7 @@ impl ServiceWorld {
             retry_tokens: HashMap::new(),
             breakers: vec![BreakerState::new(); n_fes],
             metrics: MetricsRegistry::from_env(),
-            engine,
         }
-    }
-
-    /// Registers a connection opened by world logic (client legs, pool
-    /// checkouts) with the async engine's socket runtime, so its events
-    /// route to the owning task's streams. No-op on the legacy engine.
-    fn adopt_into_engine(&self, conn: ConnId, a: NodeId, b: NodeId) {
-        if let Some(e) = &self.engine {
-            e.rt.adopt_conn(conn, a, b);
-        }
-    }
-
-    /// Drops a connection's facade state (pool check-in, aborts). The
-    /// pool's next user adopts it afresh with zeroed byte counters.
-    /// No-op on the legacy engine.
-    fn forget_from_engine(&self, conn: ConnId) {
-        if let Some(e) = &self.engine {
-            e.rt.forget_conn(conn);
-        }
-    }
-
-    /// The async engine's task host, when this world runs on the async
-    /// engine. Cloned out so callers can pump without holding a borrow
-    /// of `self.engine`.
-    fn engine_host(&self) -> Option<std::rc::Rc<std::cell::RefCell<tcpsim::sock::AsyncHost>>> {
-        self.engine.as_ref().map(|e| std::rc::Rc::clone(&e.host))
     }
 
     /// True when any overload machinery may observably act: gates the
@@ -632,21 +597,8 @@ impl ServiceWorld {
         }
     }
 
-    /// Schedules a query to start `delay` from now. On the async engine
-    /// this spawns the query's lifecycle task (whose first act is a
-    /// virtual-time sleep armed at this same instant, matching the
-    /// legacy `Action::Start` timer); on the legacy engine it arms that
-    /// timer directly.
+    /// Schedules a query to start `delay` from now.
     pub fn schedule_query(&mut self, net: &mut Net, delay: SimDuration, spec: QuerySpec) {
-        if let Some(e) = &self.engine {
-            let rt = e.rt.clone();
-            let calls = std::rc::Rc::clone(&e.calls);
-            e.host
-                .borrow_mut()
-                .spawn(tasks::lifecycle(rt, calls, delay, spec));
-            self.pump_async(net);
-            return;
-        }
         self.push_action(net, delay, Action::Start(spec));
     }
 

@@ -18,7 +18,7 @@
 
 use crate::dataset_a::DatasetA;
 use crate::dataset_b::DatasetB;
-use crate::runner::{run_stream, run_stream_fed, ProcessedQuery, WorldStepper};
+use crate::runner::{run_stream, run_stream_fed, ProcessedQuery};
 use crate::scenarios::Scenario;
 use crate::sessions::{SessionFeeder, SessionWorkload};
 use crate::sink::{CollectSink, QuerySink, SinkFactory};
@@ -44,22 +44,6 @@ pub fn threads_from_env() -> usize {
         _ => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-    }
-}
-
-/// Reads the multi-world batch width from `FECDN_WORLD_BATCH`. Unset,
-/// `0` or `1` means one world per worker claim (the historical path);
-/// `K > 1` makes each worker claim K contiguous descriptors and step
-/// them round-robin in short virtual-time slices for cache warmth.
-/// Results are byte-identical either way — worlds are independent and
-/// merge in descriptor order.
-pub fn world_batch_from_env() -> usize {
-    match std::env::var("FECDN_WORLD_BATCH")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n > 1 => n,
-        _ => 1,
     }
 }
 
@@ -551,9 +535,9 @@ impl Campaign {
     }
 
     /// Mutable access to the descriptors, for post-hoc tweaks that
-    /// apply across a whole campaign (e.g. the engine-equivalence suite
-    /// pinning every run's serving engine regardless of the ambient
-    /// `FECDN_ENGINE`).
+    /// apply across a whole campaign (e.g. pinning every run's mapping
+    /// strategy, or forcing telemetry on regardless of the ambient
+    /// `FECDN_METRICS`).
     pub fn descriptors_mut(&mut self) -> &mut [RunDescriptor] {
         &mut self.runs
     }
@@ -651,33 +635,9 @@ impl Campaign {
         F: SinkFactory,
         <F::Sink as QuerySink>::Output: Send,
     {
-        self.execute_stream_batched_with_threads(factory, threads, world_batch_from_env())
-    }
-
-    /// [`Campaign::execute_stream_with_threads`] with an explicit
-    /// multi-world batch width: each worker claims `batch` contiguous
-    /// descriptors and steps their worlds round-robin, one drain chunk
-    /// per world per pass, so K event queues stay cache-warm on one
-    /// core. `batch <= 1` is exactly the historical one-world-per-claim
-    /// path. Output is byte-identical for any `(threads, batch)` — every
-    /// world's chunk sequence is unchanged; only the interleaving across
-    /// independent worlds differs.
-    pub fn execute_stream_batched_with_threads<F>(
-        &self,
-        factory: &F,
-        threads: usize,
-        batch: usize,
-    ) -> StreamReport<<F::Sink as QuerySink>::Output>
-    where
-        F: SinkFactory,
-        <F::Sink as QuerySink>::Output: Send,
-    {
         let t0 = Instant::now();
         let n = self.runs.len();
         let threads = threads.max(1).min(n.max(1));
-        if batch > 1 {
-            return self.execute_batched(factory, threads, batch, t0);
-        }
         let runs = if threads <= 1 {
             self.runs
                 .iter()
@@ -776,160 +736,6 @@ impl Campaign {
             },
             metrics,
             output: run.output,
-        }
-    }
-
-    /// Builds and schedules one world, wrapped in a resumable stepper.
-    /// Same construction sequence as [`Campaign::execute_one`], so a
-    /// stepped world's trajectory is identical to a driven one's.
-    fn build_stepper<F: SinkFactory>(
-        &self,
-        factory: &F,
-        d: &RunDescriptor,
-    ) -> WorldStepper<F::Sink> {
-        let mut sim = self.scenario.spec(d.cfg.clone(), d.seed).build();
-        // Per-descriptor telemetry override, applied before any event is
-        // processed so the registries see the whole run or none of it.
-        if let Some(on) = d.metrics {
-            sim.net().metrics_mut().set_enabled(on);
-            sim.with(|w, _| w.metrics_mut().set_enabled(on));
-        }
-        let feeder = match &d.design {
-            Design::Sessions(w) => {
-                let (n_clients, catalog) =
-                    sim.with(|world, _| (world.clients().len(), world.corpus().len()));
-                Some(SessionFeeder::new(w.clone(), d.seed, n_clients, catalog))
-            }
-            _ => {
-                d.design.schedule(&mut sim);
-                None
-            }
-        };
-        WorldStepper::new(sim, d.classifier.clone(), factory.make(d), feeder)
-    }
-
-    /// Runs the descriptor slice `lo..hi` as one multi-world batch:
-    /// build all worlds, then round-robin one drain chunk per world per
-    /// pass until every world quiesces, then harvest in descriptor
-    /// order. The reported per-run `wall_ms` is the batch's elapsed time
-    /// at that run's harvest — interleaved stepping makes a per-world
-    /// wall attribution meaningless (the stats rows are diagnostics,
-    /// never byte-compared).
-    fn run_batch<F: SinkFactory>(
-        &self,
-        factory: &F,
-        lo: usize,
-        hi: usize,
-        worker: usize,
-        campaign_start: Instant,
-    ) -> Vec<(usize, SinkRunReport<<F::Sink as QuerySink>::Output>)> {
-        let queue_ms = campaign_start.elapsed().as_secs_f64() * 1e3;
-        let started = Instant::now();
-        let mut steppers: Vec<(usize, WorldStepper<F::Sink>)> = (lo..hi)
-            .map(|i| (i, self.build_stepper(factory, &self.runs[i])))
-            .collect();
-        loop {
-            let mut all_done = true;
-            for (_, s) in &mut steppers {
-                if !s.step() {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-        }
-        steppers
-            .into_iter()
-            .map(|(i, s)| {
-                let d = &self.runs[i];
-                let run = s.finish();
-                let mut metrics = run.metrics;
-                if metrics.is_enabled() {
-                    metrics.set_wall_gauge("emulator.queue_wait_ms", queue_ms);
-                    metrics.set_wall_gauge(
-                        "emulator.run_wall_ms",
-                        started.elapsed().as_secs_f64() * 1e3,
-                    );
-                }
-                let report = SinkRunReport {
-                    label: d.label.clone(),
-                    tally: run.tally,
-                    stats: RunStats {
-                        worker,
-                        queue_ms,
-                        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                        peak_retained_bytes: run.peak_retained_bytes,
-                        peak_pending_events: run.peak_pending_events,
-                    },
-                    metrics,
-                    output: run.output,
-                };
-                (i, report)
-            })
-            .collect()
-    }
-
-    /// The batched execution engine: the worker pool's claim unit is a
-    /// contiguous group of `batch` descriptors instead of a single one.
-    fn execute_batched<F>(
-        &self,
-        factory: &F,
-        threads: usize,
-        batch: usize,
-        t0: Instant,
-    ) -> StreamReport<<F::Sink as QuerySink>::Output>
-    where
-        F: SinkFactory,
-        <F::Sink as QuerySink>::Output: Send,
-    {
-        let n = self.runs.len();
-        let n_groups = n.div_ceil(batch.max(1));
-        let group = |g: usize| (g * batch, ((g + 1) * batch).min(n));
-        let finished: Vec<(usize, SinkRunReport<_>)> = if threads <= 1 {
-            (0..n_groups)
-                .flat_map(|g| {
-                    let (lo, hi) = group(g);
-                    self.run_batch(factory, lo, hi, 0, t0)
-                })
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut mine = Vec::new();
-                            loop {
-                                let g = next.fetch_add(1, Ordering::Relaxed);
-                                if g >= n_groups {
-                                    break;
-                                }
-                                let (lo, hi) = group(g);
-                                mine.extend(self.run_batch(factory, lo, hi, worker, t0));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            })
-        };
-        let mut slots: Vec<Option<SinkRunReport<_>>> = (0..n).map(|_| None).collect();
-        for (i, r) in finished {
-            slots[i] = Some(r);
-        }
-        StreamReport {
-            runs: slots
-                .into_iter()
-                .map(|s| s.expect("every run index was dispatched exactly once"))
-                .collect(),
-            threads,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         }
     }
 }

@@ -58,10 +58,10 @@ pub mod sessions;
 pub mod sink;
 
 pub use campaign::{
-    world_batch_from_env, Campaign, CampaignReport, Design, RunDescriptor, RunResult,
-    SinkRunReport, StreamReport, TSV_HEADER,
+    Campaign, CampaignReport, Design, RunDescriptor, RunResult, SinkRunReport, StreamReport,
+    TSV_HEADER,
 };
-pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun, WorldStepper};
+pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun};
 pub use scenarios::Scenario;
 pub use sessions::{SessionFeeder, SessionPlan, SessionWorkload};
 pub use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};

@@ -181,10 +181,8 @@ pub fn run_stream<S: QuerySink>(
     run_stream_fed(sim, classifier, sink, None)
 }
 
-/// Per-run accounting shared by the borrowed driver
-/// ([`run_stream_fed`]) and the owning [`WorldStepper`]: both advance a
-/// world through identical chunk iterations, so their outputs are
-/// byte-identical by construction.
+/// Per-run accounting [`run_stream_fed`] carries across its drain
+/// chunks.
 struct StepState {
     tally: SessionTally,
     processed: usize,
@@ -271,7 +269,7 @@ fn step_chunk<S: QuerySink>(
 }
 
 /// Harvests the component registries at quiescence and assembles the
-/// run's result. Shared quiescence tail of both drivers.
+/// run's result.
 fn finish_stream<S: QuerySink>(
     sim: &mut Sim<ServiceWorld>,
     sink: S,
@@ -328,89 +326,6 @@ pub fn run_stream_fed<S: QuerySink>(
         }
     );
     finish_stream(sim, sink, fed, st)
-}
-
-/// An owning, resumable world execution: the same chunk loop as
-/// [`run_stream_fed`], but surfaced one [`WorldStepper::step`] at a
-/// time so a worker can interleave K independent worlds in short
-/// virtual-time slices (cache-warm multi-world batching — see
-/// [`crate::Campaign::execute_stream_batched_with_threads`]).
-///
-/// Every step is exactly one [`run_stream_fed`] chunk iteration, so a
-/// batched run's sink output, tally and deterministic metrics are
-/// byte-identical to the serial driver's; only wall-clock rows (which
-/// are never byte-compared) can differ.
-pub struct WorldStepper<S: QuerySink> {
-    sim: Sim<ServiceWorld>,
-    classifier: Classifier,
-    sink: Option<S>,
-    feeder: Option<SessionFeeder>,
-    fed: bool,
-    st: StepState,
-    wall_ms: f64,
-    done: bool,
-}
-
-impl<S: QuerySink> WorldStepper<S> {
-    /// Wraps a freshly built (and scheduled) world. Pass the feeder for
-    /// session-slab designs; everything else pre-schedules into `sim`.
-    pub fn new(
-        sim: Sim<ServiceWorld>,
-        classifier: Classifier,
-        sink: S,
-        feeder: Option<SessionFeeder>,
-    ) -> WorldStepper<S> {
-        let mut sim = sim;
-        let enabled = sim.net().metrics().is_enabled();
-        WorldStepper {
-            sim,
-            classifier,
-            sink: Some(sink),
-            fed: feeder.is_some(),
-            feeder,
-            st: StepState::new(enabled),
-            wall_ms: 0.0,
-            done: false,
-        }
-    }
-
-    /// True once the world has quiesced; further steps are no-ops.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Advances the world by one drain chunk. Returns `true` once the
-    /// world has quiesced.
-    pub fn step(&mut self) -> bool {
-        if self.done {
-            return true;
-        }
-        let t0 = std::time::Instant::now();
-        let sink = self.sink.as_mut().expect("stepper already finished");
-        self.done = step_chunk(
-            &mut self.sim,
-            &self.classifier,
-            sink,
-            self.feeder.as_mut(),
-            &mut self.st,
-        );
-        self.wall_ms += t0.elapsed().as_secs_f64() * 1e3;
-        self.done
-    }
-
-    /// Runs any remaining chunks, then harvests the run. The drive-time
-    /// span covers the summed wall time of every step, mirroring the
-    /// single span [`run_stream_fed`] records.
-    pub fn finish(mut self) -> StreamRun<S::Output> {
-        while !self.done {
-            self.step();
-        }
-        self.st
-            .metrics
-            .observe_wall_ms("runner.drive_wall_ms", self.wall_ms);
-        let sink = self.sink.take().expect("stepper already finished");
-        finish_stream(&mut self.sim, sink, self.fed, self.st)
-    }
 }
 
 /// Like [`run_collect`] but only runs until `deadline`, for

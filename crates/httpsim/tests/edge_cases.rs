@@ -1,10 +1,10 @@
 //! Edge cases in message sizing and receive-progress accounting.
 //!
-//! The async socket facade detects message completion purely from
+//! The serving world detects message completion purely from
 //! per-marker delivered totals, so the invariants pinned here — no
 //! marker bleeding across segment boundaries, exact totals for sub-MSS
 //! and multi-segment portions, zero-expectation semantics — are load
-//! bearing for both serving engines.
+//! bearing.
 
 use httpsim::{RecvProgress, RequestSpec, ResponsePlan};
 use tcpsim::{App, ConnId, DeliveredSpan, End, Marker, Net, NodeId, PathParams, Sim, TcpOptions};

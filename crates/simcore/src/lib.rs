@@ -18,10 +18,6 @@
 //!   log-normal, Pareto, Weibull, Bernoulli, empirical).
 //! * [`SmallVec`] — a hand-rolled inline-first small-vector; the packet
 //!   hot path uses it to carry content spans without heap allocation.
-//! * [`exec`] — a single-threaded virtual-time async [`Executor`]
-//!   (deterministic task ids, FIFO-per-tick ready queue, safe-code waker
-//!   plumbing): simulation logic written as ordinary async code, driven
-//!   entirely by the event queue — never by threads or the wall clock.
 //! * [`telemetry`] — deterministic counters/gauges/histograms and
 //!   virtual/wall-time spans ([`MetricsRegistry`]), gated at runtime by
 //!   `FECDN_METRICS` and at compile time by the `telemetry-off` feature.
@@ -36,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dist;
-pub mod exec;
 pub mod queue;
 pub mod rng;
 pub mod smallvec;
@@ -44,7 +39,6 @@ pub mod telemetry;
 pub mod time;
 
 pub use dist::{Dist, Sampler};
-pub use exec::{Executor, Signal, TaskId};
 pub use queue::{EventQueue, HeapQueue};
 pub use rng::Rng;
 pub use smallvec::SmallVec;

@@ -35,12 +35,6 @@
 //! event, updates TCP state, and queues application callbacks which are
 //! delivered with `&mut Net` so the app can immediately send, open
 //! connections or set timers.
-//!
-//! The [`sock`] module layers an async socket facade on top:
-//! [`SimTcpListener`] / [`SimTcpStream`] futures (bind / connect /
-//! accept / read / write / shutdown) driven by `simcore`'s virtual-time
-//! executor, so application logic can be ordinary async code instead of
-//! a hand-rolled callback state machine.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,7 +44,6 @@ pub mod endpoint;
 pub mod net;
 pub mod opts;
 pub mod segment;
-pub mod sock;
 pub mod trace;
 
 pub use endpoint::{ConnStats, TcpState};
@@ -60,5 +53,4 @@ pub use net::{
 };
 pub use opts::{CongAlgo, TcpOptions};
 pub use segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
-pub use sock::{AsyncHost, SimTcpListener, SimTcpStream, SockApp, SockRt};
 pub use trace::{Capture, PktDir, PktEvent, TraceLog};

@@ -136,38 +136,6 @@ fn streaming_sink_is_thread_invariant_and_matches_collect_path() {
 }
 
 #[test]
-fn batched_stepping_matches_serial_exactly() {
-    // Multi-world batching interleaves chunk execution across K
-    // independent worlds on one worker; every world's own chunk
-    // sequence is unchanged, so the streamed TSV and the deterministic
-    // metrics document must be byte-identical for any (threads, batch).
-    let c = common::representative_campaign_with_metrics(42, Some(true));
-    let rows = |d: &RunDescriptor| TsvRows::new(&d.label);
-    let serial = c.execute_stream_batched_with_threads(&rows, 1, 1);
-    let batched = c.execute_stream_batched_with_threads(&rows, 1, 3);
-    let batched_mt = c.execute_stream_batched_with_threads(&rows, 4, 2);
-    assert_eq!(
-        stream_tsv(&serial),
-        stream_tsv(&batched),
-        "TSV must be byte-identical with 3-world batches on 1 worker"
-    );
-    assert_eq!(
-        stream_tsv(&serial),
-        stream_tsv(&batched_mt),
-        "TSV must be byte-identical with 2-world batches on 4 workers"
-    );
-    assert_eq!(
-        serial.metrics_tsv(),
-        batched.metrics_tsv(),
-        "deterministic metrics must be byte-identical under batching"
-    );
-    assert_eq!(serial.metrics_tsv(), batched_mt.metrics_tsv());
-    // Batch width beyond the run count degenerates gracefully.
-    let oversized = c.execute_stream_batched_with_threads(&rows, 2, 64);
-    assert_eq!(stream_tsv(&serial), stream_tsv(&oversized));
-}
-
-#[test]
 fn campaign_output_is_oversubscription_invariant() {
     // More workers than runs: excess threads must be clamped away, not
     // spin on an empty queue or change the merge.
