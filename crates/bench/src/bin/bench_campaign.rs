@@ -1,10 +1,10 @@
 //! Campaign result-path benchmark: wall time and **peak retained bytes**
-//! of the legacy collect-everything sink vs a bounded streaming reducer.
+//! of the collect-everything sink vs a bounded streaming reducer.
 //!
 //! Three measurements over the same two-service Dataset-A campaign:
 //!
-//! 1. `collect` — the pre-streaming result path ([`CollectSink`]):
-//!    every processed query buffered per run;
+//! 1. `collect` — [`CollectSink`], the sink behind
+//!    `Campaign::execute`: every processed query buffered per run;
 //! 2. `stream` — a bounded reducer (capped [`SummaryAcc`]s over the
 //!    overall delay and `Tdynamic`): O(reducer-state) memory;
 //! 3. `stream10x` — the same streaming sink at 10× the query count.
@@ -70,8 +70,8 @@ fn campaign_with(seed: u64, repeats: u64) -> Campaign {
 }
 
 /// Runs `campaign` under `factory`, returning (wall ms, peak retained
-/// bytes, total queries).
-fn measure<F>(campaign: &Campaign, factory: &F) -> (u128, usize, usize)
+/// bytes, total queries, worker count used).
+fn measure<F>(campaign: &Campaign, factory: &F) -> (u128, usize, usize, usize)
 where
     F: SinkFactory,
     <F::Sink as QuerySink>::Output: Send,
@@ -84,7 +84,7 @@ where
         .iter()
         .map(|r| r.tally.total() - r.tally.skipped)
         .sum();
-    (wall, report.peak_retained_bytes(), queries)
+    (wall, report.peak_retained_bytes(), queries, report.threads)
 }
 
 fn stream_sink(_: &RunDescriptor) -> StreamState {
@@ -112,19 +112,15 @@ fn main() {
     let base_repeats: u64 = if smoke { 6 } else { 24 };
 
     let c = campaign_with(seed, base_repeats);
-    let (wall_collect, peak_collect, n_collect) =
-        measure(&c, &|d: &RunDescriptor| CollectSink::with_raw(d.keep_raw));
-    let (wall_stream, peak_stream, n_stream) = measure(&c, &stream_sink);
+    let (wall_collect, peak_collect, n_collect, threads) =
+        measure(&c, &|_: &RunDescriptor| CollectSink::new());
+    let (wall_stream, peak_stream, n_stream, _) = measure(&c, &stream_sink);
     let c10 = campaign_with(seed, base_repeats * 10);
-    let (wall_stream10, peak_stream10, n_stream10) = measure(&c10, &stream_sink);
+    let (wall_stream10, peak_stream10, n_stream10, _) = measure(&c10, &stream_sink);
 
     assert_eq!(n_collect, n_stream, "sink choice must not change coverage");
     let reduction = peak_collect as f64 / peak_stream.max(1) as f64;
     let growth = peak_stream10 as f64 / peak_stream.max(1) as f64;
-    let threads = std::env::var("FECDN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
 
     eprintln!(
         "collect:   {n_collect} queries, wall {wall_collect} ms, peak retained {peak_collect} B"

@@ -64,7 +64,7 @@ fn main() {
 
     let mut ok = true;
     for (name, _, expected) in configs {
-        match probe.outcome_stream(&report, name) {
+        match probe.outcome(&report, name) {
             Some(out) => {
                 tsv.row(&[
                     name.to_string(),

@@ -44,7 +44,7 @@
 use bench::{check, finish, seed_from_env, Scale};
 use cdnsim::{FeLoadProfile, LoadAwarePolicy, LoadModel, MappingPolicy, QuerySpec, ServiceConfig};
 use emulator::output::Tsv;
-use emulator::{Campaign, CampaignReport, Design, Scenario};
+use emulator::{Campaign, Collected, Design, Scenario, StreamReport};
 use simcore::time::SimDuration;
 
 /// Strategy arms swept (label, policy factory).
@@ -139,11 +139,9 @@ fn arm_campaign(seed: u64, n: usize, policy: MappingPolicy, gap_ms: u64) -> Camp
 }
 
 /// Exact p95 of the run's overall end-to-end latencies.
-fn p95_overall(report: &CampaignReport, label: &str) -> f64 {
+fn p95_overall(report: &StreamReport<Collected>, label: &str) -> f64 {
     let mut v: Vec<f64> = report
-        .get(label)
-        .unwrap()
-        .queries
+        .queries(label)
         .iter()
         .map(|q| q.params.overall_ms)
         .collect();
@@ -183,7 +181,7 @@ fn main() {
     // Paired arm runs: identical label => identical per-run RNG, so the
     // p95 table compares strategies, not seeds. Run the whole set twice
     // and demand bit-equality for the same-seed rerun check.
-    let run_arms = || -> Vec<(String, CampaignReport)> {
+    let run_arms = || -> Vec<(String, StreamReport<Collected>)> {
         let mut set = Vec::new();
         for (sname, policy) in strategies() {
             for (iname, gap_ms) in INTENSITIES {
@@ -194,7 +192,7 @@ fn main() {
         set
     };
     let arms = run_arms();
-    let arm_tsv = |set: &[(String, CampaignReport)]| {
+    let arm_tsv = |set: &[(String, StreamReport<Collected>)]| {
         set.iter()
             .map(|(_, r)| r.to_tsv())
             .collect::<Vec<_>>()

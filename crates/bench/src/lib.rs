@@ -27,7 +27,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use emulator::{Campaign, CampaignReport, QuerySink, Scenario, SinkFactory, StreamReport};
+use emulator::{Campaign, QuerySink, Scenario, SinkFactory, StreamReport};
 
 /// Run scale for the harness binaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,21 +39,40 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `FECDN_SCALE` (`quick` | `paper`), defaulting to quick.
-    pub fn from_env() -> Scale {
-        match std::env::var("FECDN_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Quick,
+    /// Parses a `FECDN_SCALE`-style value: unset means quick; `quick` and
+    /// `paper` select a scale; anything else is an error naming the
+    /// variable and its accepted values.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "FECDN_SCALE={other:?}: expected `quick` or `paper`"
+            )),
         }
+    }
+
+    /// Reads `FECDN_SCALE` (see [`Scale::parse`]). Panics on a
+    /// malformed value.
+    pub fn from_env() -> Scale {
+        Scale::parse(std::env::var("FECDN_SCALE").ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
-/// Reads `FECDN_SEED`, defaulting to 42.
+/// Parses a `FECDN_SEED`-style value: unset means 42, otherwise it
+/// must be an unsigned 64-bit integer.
+pub fn seed_from(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(42),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("FECDN_SEED={s:?}: expected an unsigned 64-bit integer")),
+    }
+}
+
+/// Reads `FECDN_SEED` (see [`seed_from`]). Panics on a malformed value.
 pub fn seed_from_env() -> u64 {
-    std::env::var("FECDN_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    seed_from(std::env::var("FECDN_SEED").ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Builds the scenario for a scale.
@@ -109,24 +128,14 @@ fn write_metrics_json(merged: &emulator::MetricsRegistry) {
     }
 }
 
-/// Executes a campaign with the `FECDN_THREADS` worker count and prints
-/// the per-run wall-clock/queue stats plus the metrics.tsv telemetry
-/// document to stderr, buffered and emitted in one write so per-run
-/// lines appear in descriptor order (stdout stays reserved for the
-/// byte-stable TSV). With `FECDN_METRICS_JSON=<path>` set, also writes
-/// the merged registry as JSON.
-pub fn execute(campaign: &Campaign) -> CampaignReport {
-    let report = campaign.execute();
-    eprint!("{}", report.stderr_report());
-    write_metrics_json(&report.merged_metrics());
-    report
-}
-
-/// Streaming counterpart of [`execute`]: runs the campaign with one
+/// Executes a campaign with the `FECDN_THREADS` worker count and one
 /// sink per run from `factory`, folding queries as they complete
-/// (memory stays bounded by reducer state), and prints the same stderr
-/// stats-plus-metrics report. stdout stays reserved for the byte-stable
-/// TSV.
+/// (memory stays bounded by reducer state), then prints the per-run
+/// wall-clock/queue stats plus the metrics.tsv telemetry document to
+/// stderr, buffered and emitted in one write so per-run lines appear
+/// in descriptor order (stdout stays reserved for the byte-stable TSV).
+/// With `FECDN_METRICS_JSON=<path>` set, also writes the merged
+/// registry as JSON.
 pub fn execute_stream<F>(
     campaign: &Campaign,
     factory: &F,
@@ -161,9 +170,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parsing_defaults_quick() {
-        // Not setting the env var in-process: default path.
-        assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scale_parsing_defaults_quick_and_rejects_unknown_values() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
+        for bad in ["Paper", "", "full"] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("FECDN_SCALE") && err.contains("`paper`"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn seed_parsing_defaults_42_and_rejects_garbage() {
+        assert_eq!(seed_from(None), Ok(42));
+        assert_eq!(seed_from(Some("7")), Ok(7));
+        assert_eq!(seed_from(Some("18446744073709551615")), Ok(u64::MAX));
+        for bad in ["", "x", "-1", "4.2", "18446744073709551616"] {
+            let err = seed_from(Some(bad)).unwrap_err();
+            assert!(err.contains("FECDN_SEED"), "{err}");
+        }
     }
 
     #[test]

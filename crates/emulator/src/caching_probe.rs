@@ -7,7 +7,7 @@
 //! distributions answers whether FEs cache (dynamically generated)
 //! search results.
 
-use crate::campaign::{Campaign, CampaignReport, Design, StreamReport};
+use crate::campaign::{Campaign, Design, RunDescriptor, StreamReport};
 use crate::runner::ProcessedQuery;
 use crate::scenarios::Scenario;
 use crate::sink::QuerySink;
@@ -64,7 +64,8 @@ impl CachingProbeRun {
     pub fn run(&self, scenario: &Scenario, cfg: ServiceConfig) -> Option<CachingOutcome> {
         let mut campaign = Campaign::new(scenario.clone());
         self.add_to(&mut campaign, "caching", cfg);
-        self.outcome(&campaign.execute(), "caching")
+        let report = campaign.execute_stream(&|_: &RunDescriptor| Self::sink());
+        self.outcome(&report, "caching")
     }
 
     /// Pushes the probe's two runs (`{prefix}/same`, `{prefix}/distinct`)
@@ -75,22 +76,9 @@ impl CachingProbeRun {
         campaign.push(format!("{prefix}/distinct"), cfg, self.design(false));
     }
 
-    /// Extracts the comparison for the runs pushed under `prefix`.
-    pub fn outcome(&self, report: &CampaignReport, prefix: &str) -> Option<CachingOutcome> {
-        let pairs = |qs: &[ProcessedQuery]| -> Vec<(f64, f64)> {
-            qs.iter()
-                .map(|q| (q.params.rtt_ms, q.params.t_dynamic_ms))
-                .collect()
-        };
-        self.outcome_from_pairs(
-            &pairs(report.queries(&format!("{prefix}/same"))),
-            &pairs(report.queries(&format!("{prefix}/distinct"))),
-        )
-    }
-
-    /// [`outcome`](CachingProbeRun::outcome) over a streaming execution
-    /// whose sinks were [`ProbeSink`]s.
-    pub fn outcome_stream(
+    /// Extracts the comparison for the runs pushed under `prefix` from
+    /// a streaming execution whose sinks were [`ProbeSink`]s.
+    pub fn outcome(
         &self,
         report: &StreamReport<Vec<(f64, f64)>>,
         prefix: &str,
@@ -105,7 +93,7 @@ impl CachingProbeRun {
     /// sample pairs in completion order — all the probe retains per
     /// query under the streaming pipeline (16 bytes instead of the full
     /// processed record).
-    pub fn outcome_from_pairs(
+    fn outcome_from_pairs(
         &self,
         same: &[(f64, f64)],
         distinct: &[(f64, f64)],
@@ -187,7 +175,7 @@ impl CachingProbeRun {
 }
 
 /// Streaming sink collecting each query's `(rtt_ms, t_dynamic_ms)` —
-/// everything [`CachingProbeRun::outcome_from_pairs`] needs.
+/// everything [`CachingProbeRun::outcome`] needs.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeSink {
     pairs: Vec<(f64, f64)>,

@@ -18,12 +18,12 @@
 
 use crate::dataset_a::DatasetA;
 use crate::dataset_b::DatasetB;
-use crate::runner::{run_stream, run_stream_fed, ProcessedQuery};
+use crate::runner::{run_stream, ProcessedQuery};
 use crate::scenarios::Scenario;
 use crate::sessions::{SessionFeeder, SessionWorkload};
-use crate::sink::{CollectSink, QuerySink, SinkFactory};
+use crate::sink::{CollectSink, Collected, QuerySink, SinkFactory, TsvRows};
 use capture::Classifier;
-use cdnsim::{CompletedQuery, ServiceConfig, ServiceWorld};
+use cdnsim::{ServiceConfig, ServiceWorld};
 use inference::SessionTally;
 use simcore::rng::stream_seed;
 use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};
@@ -33,18 +33,30 @@ use std::sync::Arc;
 use std::time::Instant;
 use tcpsim::Sim;
 
-/// Reads the worker count from `FECDN_THREADS`. Unset or `0` means the
-/// machine's available parallelism; `1` forces the serial path.
-pub fn threads_from_env() -> usize {
-    match std::env::var("FECDN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+/// Parses a `FECDN_THREADS`-style value into a worker count. Unset or
+/// `0` means `available` (the machine's parallelism); `1` forces the
+/// serial path; anything that is not a non-negative integer is an
+/// error naming the variable. Pure, so tests can pin the parsing
+/// without racing on process-global environment state.
+pub fn threads_from(value: Option<&str>, available: usize) -> Result<usize, String> {
+    match value.map(str::parse::<usize>) {
+        None | Some(Ok(0)) => Ok(available),
+        Some(Ok(n)) => Ok(n),
+        Some(Err(_)) => Err(format!(
+            "FECDN_THREADS={:?}: expected a worker count (0 = all cores)",
+            value.unwrap_or_default()
+        )),
     }
+}
+
+/// Reads the worker count from `FECDN_THREADS` (see [`threads_from`]).
+/// Panics on a malformed value.
+pub fn threads_from_env() -> usize {
+    let available = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    threads_from(std::env::var("FECDN_THREADS").ok().as_deref(), available)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A boxed scheduling function for [`Design::Custom`].
@@ -113,9 +125,6 @@ pub struct RunDescriptor {
     pub seed: u64,
     /// Timeline classifier used when processing completions.
     pub classifier: Classifier,
-    /// Retain raw completions (with packet traces) in the result. Off by
-    /// default: traces dominate memory on long campaigns.
-    pub keep_raw: bool,
     /// Per-run telemetry override: `Some(on)` forces the run's
     /// registries on or off regardless of `FECDN_METRICS`; `None`
     /// (default) leaves the environment gate in force. Tests use this to
@@ -140,23 +149,6 @@ pub struct RunStats {
     pub peak_pending_events: usize,
 }
 
-/// The merged output of one run.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// The descriptor's label.
-    pub label: String,
-    /// Processed queries in completion order.
-    pub queries: Vec<ProcessedQuery>,
-    /// Raw completions (empty unless the descriptor set `keep_raw`).
-    pub raw: Vec<CompletedQuery>,
-    /// Outcome/skip accounting for the run.
-    pub tally: SessionTally,
-    /// Wall-clock and queue bookkeeping.
-    pub stats: RunStats,
-    /// The run's telemetry registry (see [`crate::StreamRun::metrics`]).
-    pub metrics: MetricsRegistry,
-}
-
 /// One run's report from a streaming execution: accounting plus
 /// whatever the run's sink reduced to.
 #[derive(Clone, Debug)]
@@ -173,8 +165,7 @@ pub struct SinkRunReport<R> {
     pub output: R,
 }
 
-/// The merged output of a streaming campaign execution, in descriptor
-/// order — the stream-and-reduce counterpart of [`CampaignReport`].
+/// The merged output of a campaign execution, in descriptor order.
 #[derive(Clone, Debug)]
 pub struct StreamReport<R> {
     /// Per-run reports, in descriptor order (not completion order).
@@ -233,49 +224,64 @@ impl<R> StreamReport<R> {
     }
 
     /// Renders per-run wall-clock + queue stats plus the campaign
-    /// speedup line, for stderr (see [`CampaignReport::stats_table`]).
+    /// speedup line, for stderr. Never part of stdout TSV: timings vary
+    /// run to run while the TSV must stay byte-identical.
     pub fn stats_table(&self) -> String {
-        let rows: Vec<StatsRow> = self
-            .runs
-            .iter()
-            .map(|r| StatsRow {
-                label: &r.label,
-                queries: r.tally.total() - r.tally.skipped.min(r.tally.total()),
-                skipped: r.tally.skipped,
-                stats: &r.stats,
-            })
-            .collect();
-        render_stats_table(
-            &rows,
+        let mut out = format!(
+            "{:<28} {:>8} {:>8} {:>10} {:>10} {:>7}\n",
+            "run", "queries", "skipped", "queue_ms", "wall_ms", "worker"
+        );
+        for r in &self.runs {
+            let t = &r.tally;
+            out.push_str(&format!(
+                "{:<28} {:>8} {:>8} {:>10.0} {:>10.0} {:>7}\n",
+                r.label,
+                t.total() - t.skipped.min(t.total()),
+                t.skipped,
+                r.stats.queue_ms,
+                r.stats.wall_ms,
+                r.stats.worker,
+            ));
+        }
+        out.push_str(&format!(
+            "campaign: {} runs on {} thread(s), wall {:.0} ms, serial-equivalent {:.0} ms, speedup {:.2}x\n",
+            self.runs.len(),
             self.threads,
             self.wall_ms,
             self.serial_ms(),
             self.speedup(),
-        )
+        ));
+        out
     }
 
     /// The deterministic per-run metrics document (`metrics.tsv`
     /// format), rows in descriptor order — byte-identical at any worker
     /// count.
     pub fn metrics_tsv(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            false,
-        )
+        self.metrics_doc(false)
     }
 
     /// [`StreamReport::metrics_tsv`] including wall-clock rows — stderr
     /// diagnostics only, never byte-compared.
     pub fn metrics_tsv_all(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            true,
-        )
+        self.metrics_doc(true)
+    }
+
+    fn metrics_doc(&self, include_wall: bool) -> String {
+        let mut out = String::from(METRICS_TSV_HEADER);
+        for r in &self.runs {
+            r.metrics.render_rows(&r.label, include_wall, &mut out);
+        }
+        out
     }
 
     /// All per-run registries merged in descriptor order.
     pub fn merged_metrics(&self) -> MetricsRegistry {
-        merge_metrics(self.runs.iter().map(|r| &r.metrics))
+        let mut merged = MetricsRegistry::new();
+        for r in &self.runs {
+            merged.merge(&r.metrics);
+        }
+        merged
     }
 
     /// The complete stderr report: the wall-clock stats table followed
@@ -287,215 +293,66 @@ impl<R> StreamReport<R> {
         out.push_str(&self.metrics_tsv_all());
         out
     }
-}
 
-struct StatsRow<'a> {
-    label: &'a str,
-    queries: usize,
-    skipped: usize,
-    stats: &'a RunStats,
-}
-
-fn render_stats_table(
-    rows: &[StatsRow<'_>],
-    threads: usize,
-    wall_ms: f64,
-    serial_ms: f64,
-    speedup: f64,
-) -> String {
-    let mut out = format!(
-        "{:<28} {:>8} {:>8} {:>10} {:>10} {:>7}\n",
-        "run", "queries", "skipped", "queue_ms", "wall_ms", "worker"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>8} {:>10.0} {:>10.0} {:>7}\n",
-            r.label, r.queries, r.skipped, r.stats.queue_ms, r.stats.wall_ms, r.stats.worker,
-        ));
-    }
-    out.push_str(&format!(
-        "campaign: {} runs on {} thread(s), wall {:.0} ms, serial-equivalent {:.0} ms, speedup {:.2}x\n",
-        rows.len(),
-        threads,
-        wall_ms,
-        serial_ms,
-        speedup,
-    ));
-    out
-}
-
-/// Renders the per-run metrics document: the shared header plus each
-/// run's rows (prefixed with its label), in the order given — which both
-/// report types fix to descriptor order.
-fn render_metrics_doc<'a>(
-    runs: impl Iterator<Item = (&'a str, &'a MetricsRegistry)>,
-    include_wall: bool,
-) -> String {
-    let mut out = String::from(METRICS_TSV_HEADER);
-    for (label, m) in runs {
-        m.render_rows(label, include_wall, &mut out);
-    }
-    out
-}
-
-/// Merges registries left to right (callers pass descriptor order).
-fn merge_metrics<'a>(runs: impl Iterator<Item = &'a MetricsRegistry>) -> MetricsRegistry {
-    let mut merged = MetricsRegistry::new();
-    for m in runs {
-        merged.merge(m);
-    }
-    merged
-}
-
-/// Column header of the canonical campaign TSV, shared by
-/// [`CampaignReport::to_tsv`] and consumers reassembling the same
-/// document from streamed [`crate::TsvRows`] output.
-pub const TSV_HEADER: &str = "run\tqid\tclient\tfe\tbe\tkeyword\tclass\tt_start_ms\trtt_ms\t\
-                              t_static_ms\tt_dynamic_ms\tt_delta_ms\toverall_ms\toutcome\n";
-
-/// The merged results of a campaign, in descriptor order.
-#[derive(Clone, Debug)]
-pub struct CampaignReport {
-    /// Per-run results, in descriptor order (not completion order).
-    pub runs: Vec<RunResult>,
-    /// Worker count used.
-    pub threads: usize,
-    /// Campaign wall-clock, ms.
-    pub wall_ms: f64,
-}
-
-impl CampaignReport {
-    /// The result of the labelled run, if present.
-    pub fn get(&self, label: &str) -> Option<&RunResult> {
-        self.runs.iter().find(|r| r.label == label)
-    }
-
-    /// The processed queries of the labelled run. Panics on an unknown
-    /// label — descriptor labels are static strings, so a miss is a bug.
-    pub fn queries(&self, label: &str) -> &[ProcessedQuery] {
-        &self
-            .get(label)
-            .unwrap_or_else(|| panic!("no campaign run labelled {label:?}"))
-            .queries
-    }
-
-    /// Sum of per-run wall-clock times — what a serial execution would
-    /// have cost.
-    pub fn serial_ms(&self) -> f64 {
-        self.runs.iter().map(|r| r.stats.wall_ms).sum()
-    }
-
-    /// Serial-equivalent time over actual wall-clock time.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms > 0.0 {
-            self.serial_ms() / self.wall_ms
-        } else {
-            1.0
-        }
-    }
-
-    /// Renders per-run wall-clock + queue stats plus the campaign
-    /// speedup line, for stderr. Never part of stdout TSV: timings vary
-    /// run to run while the TSV must stay byte-identical.
-    pub fn stats_table(&self) -> String {
-        let rows: Vec<StatsRow> = self
-            .runs
-            .iter()
-            .map(|r| StatsRow {
-                label: &r.label,
-                queries: r.queries.len(),
-                skipped: r.tally.skipped,
-                stats: &r.stats,
-            })
-            .collect();
-        render_stats_table(
-            &rows,
-            self.threads,
-            self.wall_ms,
-            self.serial_ms(),
-            self.speedup(),
-        )
-    }
-
-    /// The deterministic per-run metrics document (`metrics.tsv`
-    /// format), rows in descriptor order.
-    pub fn metrics_tsv(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            false,
-        )
-    }
-
-    /// [`CampaignReport::metrics_tsv`] including wall-clock rows.
-    pub fn metrics_tsv_all(&self) -> String {
-        render_metrics_doc(
-            self.runs.iter().map(|r| (r.label.as_str(), &r.metrics)),
-            true,
-        )
-    }
-
-    /// All per-run registries merged in descriptor order.
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        merge_metrics(self.runs.iter().map(|r| &r.metrics))
-    }
-
-    /// The complete stderr report: stats table plus metrics document,
-    /// buffered into one string so per-run lines are emitted in
-    /// descriptor order in a single write.
-    pub fn stderr_report(&self) -> String {
-        let mut out = self.stats_table();
-        out.push_str(&self.metrics_tsv_all());
-        out
-    }
-
-    /// Canonical TSV serialisation of the merged campaign — the golden
-    /// trace. One `#` accounting line plus one row per processed query,
-    /// per run, in descriptor order. Everything here is virtual-time or
-    /// outcome data: byte-identical across worker counts and machines.
-    pub fn to_tsv(&self) -> String {
+    /// The canonical campaign TSV: the header, then per run in
+    /// descriptor order its `# run=` accounting line followed by
+    /// whatever `rows` appends for it.
+    fn tsv_doc(&self, rows: impl Fn(&SinkRunReport<R>, &mut String)) -> String {
         let mut out = String::from(TSV_HEADER);
         for r in &self.runs {
             let t = &r.tally;
+            out.push_str(&format!(
+                "# run={} ok={} degraded={} retried={} timed_out={}",
+                r.label, t.ok, t.degraded, t.retried, t.timed_out
+            ));
             // `shed` / `no_live_fe` only appear when non-zero so
             // pre-overload / pre-strategy goldens stay byte-identical.
-            let shed = if t.shed > 0 {
-                format!(" shed={}", t.shed)
-            } else {
-                String::new()
-            };
-            let no_live = if t.no_live_fe > 0 {
-                format!(" no_live_fe={}", t.no_live_fe)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "# run={} ok={} degraded={} retried={} timed_out={}{}{} skipped={}\n",
-                r.label, t.ok, t.degraded, t.retried, t.timed_out, shed, no_live, t.skipped
-            ));
-            for q in &r.queries {
-                let fe = q.fe.map_or(-1, |f| f as i64);
-                out.push_str(&format!(
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{:?}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:?}\n",
-                    r.label,
-                    q.qid,
-                    q.client,
-                    fe,
-                    q.be,
-                    q.keyword,
-                    q.class,
-                    q.t_start_ms,
-                    q.params.rtt_ms,
-                    q.params.t_static_ms,
-                    q.params.t_dynamic_ms,
-                    q.params.t_delta_ms,
-                    q.params.overall_ms,
-                    q.outcome,
-                ));
+            if t.shed > 0 {
+                out.push_str(&format!(" shed={}", t.shed));
             }
+            if t.no_live_fe > 0 {
+                out.push_str(&format!(" no_live_fe={}", t.no_live_fe));
+            }
+            out.push_str(&format!(" skipped={}\n", t.skipped));
+            rows(r, &mut out);
         }
         out
     }
 }
+
+impl StreamReport<Collected> {
+    /// The processed queries of the labelled run, in completion order
+    /// (panics on an unknown label).
+    pub fn queries(&self, label: &str) -> &[ProcessedQuery] {
+        &self.output(label).queries
+    }
+
+    /// Canonical TSV serialisation of the merged campaign — the golden
+    /// trace. One `#` accounting line plus one [`TsvRows::format_row`]
+    /// row per processed query, per run, in descriptor order.
+    /// Everything here is virtual-time or outcome data: byte-identical
+    /// across worker counts and machines.
+    pub fn to_tsv(&self) -> String {
+        self.tsv_doc(|r, out| {
+            for q in &r.output.queries {
+                out.push_str(&TsvRows::format_row(&r.label, q));
+            }
+        })
+    }
+}
+
+impl StreamReport<String> {
+    /// The canonical campaign TSV reassembled from [`TsvRows`] sinks —
+    /// byte-identical to [`StreamReport::<Collected>::to_tsv`] over the
+    /// same campaign, without ever buffering a processed query.
+    pub fn to_tsv(&self) -> String {
+        self.tsv_doc(|r, out| out.push_str(&r.output))
+    }
+}
+
+/// Column header of the canonical campaign TSV.
+const TSV_HEADER: &str = "run\tqid\tclient\tfe\tbe\tkeyword\tclass\tt_start_ms\trtt_ms\t\
+                              t_static_ms\tt_dynamic_ms\tt_delta_ms\toverall_ms\toutcome\n";
 
 /// A deterministically ordered list of independent runs over one shared
 /// [`Scenario`].
@@ -545,7 +402,7 @@ impl Campaign {
     /// Appends a run. The world seed is derived from the campaign seed
     /// and the label, so every run owns an independent named stream and
     /// adding a run never perturbs another. Returns the descriptor for
-    /// optional tweaks (`classifier`, `keep_raw`). Panics on a duplicate
+    /// optional tweaks (`classifier`, `metrics`). Panics on a duplicate
     /// label: labels are merge keys and seed-derivation names.
     pub fn push(
         &mut self,
@@ -565,47 +422,22 @@ impl Campaign {
             design,
             seed,
             classifier: Classifier::ByMarker,
-            keep_raw: false,
             metrics: None,
         });
         self.runs.last_mut().expect("just pushed")
     }
 
-    /// Executes with the worker count from `FECDN_THREADS`.
-    ///
-    /// Compatibility path: runs the streaming pipeline with a
-    /// [`CollectSink`] per run, so results still arrive as full
-    /// `Vec<ProcessedQuery>` buffers (and raw traces when a descriptor
-    /// set `keep_raw`). Harnesses that reduce online should prefer
-    /// [`Campaign::execute_stream`].
-    pub fn execute(&self) -> CampaignReport {
+    /// Executes with the worker count from `FECDN_THREADS`, buffering
+    /// every processed query per run (a [`CollectSink`]). Shorthand for
+    /// [`Campaign::execute_stream`] for harnesses that want full query
+    /// lists.
+    pub fn execute(&self) -> StreamReport<Collected> {
         self.execute_with_threads(threads_from_env())
     }
 
     /// [`Campaign::execute`] with an explicit worker count.
-    pub fn execute_with_threads(&self, threads: usize) -> CampaignReport {
-        let report = self.execute_stream_with_threads(
-            &|d: &RunDescriptor| CollectSink::with_raw(d.keep_raw),
-            threads,
-        );
-        let threads = report.threads;
-        let wall_ms = report.wall_ms;
-        CampaignReport {
-            runs: report
-                .runs
-                .into_iter()
-                .map(|r| RunResult {
-                    label: r.label,
-                    queries: r.output.queries,
-                    raw: r.output.raw,
-                    tally: r.tally,
-                    stats: r.stats,
-                    metrics: r.metrics,
-                })
-                .collect(),
-            threads,
-            wall_ms,
-        }
+    pub fn execute_with_threads(&self, threads: usize) -> StreamReport<Collected> {
+        self.execute_stream_with_threads(&|_: &RunDescriptor| CollectSink::new(), threads)
     }
 
     /// Streams the campaign with the worker count from `FECDN_THREADS`:
@@ -709,11 +541,11 @@ impl Campaign {
                 let (n_clients, catalog) =
                     sim.with(|world, _| (world.clients().len(), world.corpus().len()));
                 let mut feeder = SessionFeeder::new(w.clone(), d.seed, n_clients, catalog);
-                run_stream_fed(&mut sim, &d.classifier, factory.make(d), Some(&mut feeder))
+                run_stream(&mut sim, &d.classifier, factory.make(d), Some(&mut feeder))
             }
             _ => {
                 d.design.schedule(&mut sim);
-                run_stream(&mut sim, &d.classifier, factory.make(d))
+                run_stream(&mut sim, &d.classifier, factory.make(d), None)
             }
         };
         let mut metrics = run.metrics;
@@ -814,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_designs_and_keep_raw_work() {
+    fn custom_designs_and_raw_retention_work() {
         let mut c = Campaign::new(Scenario::small(55));
         c.push(
             "custom",
@@ -833,13 +665,13 @@ mod tests {
                     );
                 });
             }),
-        )
-        .keep_raw = true;
-        let report = c.execute_with_threads(2);
+        );
+        let report =
+            c.execute_stream_with_threads(&|_: &RunDescriptor| CollectSink::with_raw(true), 2);
         let run = report.get("custom").unwrap();
-        assert_eq!(run.queries.len(), 1);
-        assert_eq!(run.raw.len(), 1);
-        assert!(!run.raw[0].trace.is_empty());
+        assert_eq!(run.output.queries.len(), 1);
+        assert_eq!(run.output.raw.len(), 1);
+        assert!(!run.output.raw[0].trace.is_empty());
         assert_eq!(run.tally.ok, 1);
     }
 
@@ -855,5 +687,17 @@ mod tests {
         let first_row = tsv.lines().find(|l| l.starts_with("bing\t")).unwrap();
         assert_eq!(first_row.split('\t').count(), header_cols);
         assert!(tsv.contains("# run=bing ok="));
+    }
+
+    #[test]
+    fn threads_parsing_keeps_defaults_and_rejects_garbage() {
+        assert_eq!(threads_from(None, 8), Ok(8));
+        assert_eq!(threads_from(Some("0"), 8), Ok(8));
+        assert_eq!(threads_from(Some("1"), 8), Ok(1));
+        assert_eq!(threads_from(Some("16"), 8), Ok(16));
+        for bad in ["", "four", "-1", "2.5", " 2"] {
+            let err = threads_from(Some(bad), 8).unwrap_err();
+            assert!(err.contains("FECDN_THREADS"), "{err}");
+        }
     }
 }

@@ -92,7 +92,7 @@ impl DatasetA {
             .push("dataset-a", cfg, Design::DatasetA(self.clone()))
             .classifier = classifier.clone();
         let mut report = campaign.execute_with_threads(1);
-        report.runs.remove(0).queries
+        report.runs.remove(0).output.queries
     }
 }
 

@@ -27,7 +27,7 @@
 //! byte-identical regardless of thread count.
 //!
 //! Results flow through [`sink`]s: each run folds its completions into
-//! a [`QuerySink`](sink::QuerySink) as they drain (stream-and-reduce),
+//! a [`QuerySink`] as they drain (stream-and-reduce),
 //! so campaign memory is bounded by reducer state rather than query
 //! count, and raw packet traces are retained only when a sink opts in
 //! ([`sink::RetainRaw`]).
@@ -57,12 +57,9 @@ pub mod scenarios;
 pub mod sessions;
 pub mod sink;
 
-pub use campaign::{
-    Campaign, CampaignReport, Design, RunDescriptor, RunResult, SinkRunReport, StreamReport,
-    TSV_HEADER,
-};
-pub use runner::{run_collect, run_stream_fed, ProcessedQuery, StreamRun};
+pub use campaign::{Campaign, Design, RunDescriptor, SinkRunReport, StreamReport};
+pub use runner::{run_stream, ProcessedQuery, StreamRun};
 pub use scenarios::Scenario;
 pub use sessions::{SessionFeeder, SessionPlan, SessionWorkload};
 pub use simcore::telemetry::{MetricsRegistry, METRICS_TSV_HEADER};
-pub use sink::{CollectSink, FoldSink, QuerySink, RetainRaw, SinkFactory, TsvRows};
+pub use sink::{CollectSink, Collected, FoldSink, QuerySink, RetainRaw, SinkFactory, TsvRows};

@@ -9,7 +9,6 @@ use std::io::Write;
 pub struct Tsv<W: Write> {
     out: W,
     cols: usize,
-    rows_written: usize,
 }
 
 impl<W: Write> Tsv<W> {
@@ -19,7 +18,6 @@ impl<W: Write> Tsv<W> {
         Ok(Tsv {
             out,
             cols: header.len(),
-            rows_written: 0,
         })
     }
 
@@ -27,9 +25,7 @@ impl<W: Write> Tsv<W> {
     /// header.
     pub fn row(&mut self, cells: &[String]) -> std::io::Result<()> {
         assert_eq!(cells.len(), self.cols, "TSV row width mismatch");
-        writeln!(self.out, "{}", cells.join("\t"))?;
-        self.rows_written += 1;
-        Ok(())
+        writeln!(self.out, "{}", cells.join("\t"))
     }
 
     /// Convenience for numeric rows (3 decimal places).
@@ -37,16 +33,6 @@ impl<W: Write> Tsv<W> {
         let fmt: Vec<String> = cells.iter().map(|v| format!("{v:.3}")).collect();
         self.row(&fmt)
     }
-
-    /// Rows written so far (header excluded).
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
-    }
-}
-
-/// Formats a labelled numeric row for stderr summaries.
-pub fn kv(label: &str, value: f64) -> String {
-    format!("{label:<42} {value:>10.3}")
 }
 
 #[cfg(test)]
@@ -60,7 +46,6 @@ mod tests {
             let mut t = Tsv::new(&mut buf, &["rtt_ms", "t_static_ms"]).unwrap();
             t.row(&["10".into(), "25.5".into()]).unwrap();
             t.row_f64(&[20.0, 30.25]).unwrap();
-            assert_eq!(t.rows_written(), 2);
         }
         let s = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = s.lines().collect();
@@ -75,12 +60,5 @@ mod tests {
         let mut buf = Vec::new();
         let mut t = Tsv::new(&mut buf, &["a", "b"]).unwrap();
         t.row(&["only-one".into()]).unwrap();
-    }
-
-    #[test]
-    fn kv_formats() {
-        let s = kv("threshold_ms", 72.5);
-        assert!(s.contains("threshold_ms"));
-        assert!(s.contains("72.500"));
     }
 }

@@ -8,7 +8,6 @@ use inference::{QueryParams, SessionTally};
 use searchbe::keywords::KeywordClass;
 use simcore::span;
 use simcore::telemetry::MetricsRegistry;
-use simcore::time::SimTime;
 use tcpsim::Sim;
 
 /// One fully processed query: measurement-side parameters plus simulator
@@ -81,71 +80,6 @@ pub fn process(
     })
 }
 
-/// Runs the simulation to quiescence, draining and processing completed
-/// queries in time chunks (bounded memory regardless of campaign
-/// length). Returns the processed queries in completion order, plus the
-/// raw completions for callers that need traces (those are only the ones
-/// from the final chunk — pass `keep_raw = true` to retain all).
-pub fn run_collect(sim: &mut Sim<ServiceWorld>, classifier: &Classifier) -> Vec<ProcessedQuery> {
-    run_collect_with(sim, classifier, |_| {})
-}
-
-/// [`run_collect`] that also returns the robustness tally: outcome
-/// counts plus how many sessions were skipped because their timeline
-/// could not be extracted. Fault-injection harnesses report this next to
-/// their inference results so excluded data is visible, not silent.
-pub fn run_collect_tally(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-) -> (Vec<ProcessedQuery>, SessionTally) {
-    let run = run_stream(
-        sim,
-        classifier,
-        crate::sink::FoldSink::new(Vec::new(), |v: &mut Vec<ProcessedQuery>, pq| {
-            v.push(pq.clone())
-        }),
-    );
-    (run.output, run.tally)
-}
-
-/// [`run_collect`] with a callback that sees every raw completion before
-/// its trace is dropped — used by harnesses that also need packet-level
-/// views (Fig. 4) or alternative classifiers.
-pub fn run_collect_with(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-    on_raw: impl FnMut(&CompletedQuery),
-) -> Vec<ProcessedQuery> {
-    struct Legacy<F> {
-        out: Vec<ProcessedQuery>,
-        on_raw: F,
-    }
-    impl<F: FnMut(&CompletedQuery)> QuerySink for Legacy<F> {
-        type Output = Vec<ProcessedQuery>;
-        fn wants_raw(&self) -> bool {
-            true
-        }
-        fn on_query(&mut self, pq: &ProcessedQuery) {
-            self.out.push(pq.clone());
-        }
-        fn on_raw(&mut self, cq: CompletedQuery) {
-            (self.on_raw)(&cq);
-        }
-        fn finish(self) -> Vec<ProcessedQuery> {
-            self.out
-        }
-    }
-    run_stream(
-        sim,
-        classifier,
-        Legacy {
-            out: Vec::new(),
-            on_raw,
-        },
-    )
-    .output
-}
-
 /// What [`run_stream`] produces next to the sink's own output.
 #[derive(Clone, Debug)]
 pub struct StreamRun<R> {
@@ -167,21 +101,7 @@ pub struct StreamRun<R> {
     pub metrics: MetricsRegistry,
 }
 
-/// The streaming counterpart of [`run_collect`]: drives the simulation
-/// to quiescence in time chunks and folds every completion into `sink`
-/// the moment it drains — no `Vec<ProcessedQuery>` buffer, no trace
-/// clone. Raw completions are moved into the sink only when it
-/// [`wants_raw`](QuerySink::wants_raw); otherwise each trace is dropped
-/// as soon as its timeline is extracted.
-pub fn run_stream<S: QuerySink>(
-    sim: &mut Sim<ServiceWorld>,
-    classifier: &Classifier,
-    sink: S,
-) -> StreamRun<S::Output> {
-    run_stream_fed(sim, classifier, sink, None)
-}
-
-/// Per-run accounting [`run_stream_fed`] carries across its drain
+/// Per-run accounting [`run_stream`] carries across its drain
 /// chunks.
 struct StepState {
     tally: SessionTally,
@@ -300,12 +220,18 @@ fn finish_stream<S: QuerySink>(
     }
 }
 
-/// [`run_stream`] with an optional [`SessionFeeder`]: sessions are
-/// materialised one time chunk ahead of the simulation clock, so the
-/// event queue holds only live sessions — the footprint of a
-/// 10^6-session campaign is that of its busiest chunk, not of the whole
-/// schedule. Without a feeder this is exactly [`run_stream`].
-pub fn run_stream_fed<S: QuerySink>(
+/// Drives the simulation to quiescence in time chunks and folds every
+/// completion into `sink` the moment it drains — no
+/// `Vec<ProcessedQuery>` buffer, no trace clone, bounded memory however
+/// long the run. Raw completions are moved into the sink only when it
+/// [`wants_raw`](QuerySink::wants_raw); otherwise each trace is dropped
+/// as soon as its timeline is extracted.
+///
+/// With a [`SessionFeeder`], sessions are materialised one time chunk
+/// ahead of the simulation clock, so the event queue holds only live
+/// sessions — the footprint of a 10^6-session campaign is that of its
+/// busiest chunk, not of the whole schedule.
+pub fn run_stream<S: QuerySink>(
     sim: &mut Sim<ServiceWorld>,
     classifier: &Classifier,
     mut sink: S,
@@ -328,18 +254,13 @@ pub fn run_stream_fed<S: QuerySink>(
     finish_stream(sim, sink, fed, st)
 }
 
-/// Like [`run_collect`] but only runs until `deadline`, for
-/// warm-up phases.
-pub fn run_until(sim: &mut Sim<ServiceWorld>, deadline: SimTime) {
-    sim.run_until(deadline);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenarios::Scenario;
+    use crate::sink::CollectSink;
     use cdnsim::QuerySpec;
-    use simcore::time::SimDuration;
+    use simcore::time::{SimDuration, SimTime};
 
     #[test]
     fn processed_queries_carry_consistent_params() {
@@ -359,7 +280,9 @@ mod tests {
                 );
             });
         }
-        let out = run_collect(&mut sim, &Classifier::ByMarker);
+        let out = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+            .output
+            .queries;
         assert_eq!(out.len(), 5);
         for pq in &out {
             assert!(pq.params.is_consistent(0.5), "{:?}", pq.params);
@@ -385,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_callback_sees_traces() {
+    fn raw_retention_keeps_traces() {
         let s = Scenario::small(6);
         let mut sim = s.bing_sim();
         sim.with(|w, net| {
@@ -400,13 +323,16 @@ mod tests {
                 },
             );
         });
-        let mut raw_count = 0;
-        let out = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-            raw_count += 1;
-            assert!(!cq.trace.is_empty());
-        });
-        assert_eq!(raw_count, 1);
-        assert_eq!(out.len(), 1);
+        let out = run_stream(
+            &mut sim,
+            &Classifier::ByMarker,
+            CollectSink::with_raw(true),
+            None,
+        )
+        .output;
+        assert_eq!(out.raw.len(), 1);
+        assert!(!out.raw[0].trace.is_empty());
+        assert_eq!(out.queries.len(), 1);
     }
 
     #[test]
@@ -437,7 +363,8 @@ mod tests {
                 );
             });
         }
-        let (out, tally) = run_collect_tally(&mut sim, &Classifier::ByMarker);
+        let run = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        let (out, tally) = (run.output.queries, run.tally);
         assert_eq!(tally.degraded, 4);
         assert_eq!(tally.total(), 4);
         assert_eq!(tally.skipped, 4, "degraded stubs must not be inferable");
@@ -466,18 +393,15 @@ mod tests {
                 },
             );
         });
-        let mut raw = Vec::new();
-        let (out, tally) = {
-            let mut tally = inference::SessionTally::default();
-            let out = run_collect_with(&mut sim, &Classifier::ByMarker, |cq| {
-                tally.ok += 1;
-                raw.push(cq.clone());
-            });
-            tally.skipped = tally.total() - out.len();
-            (out, tally)
-        };
+        let run = run_stream(
+            &mut sim,
+            &Classifier::ByMarker,
+            CollectSink::with_raw(true),
+            None,
+        );
+        let (out, raw) = (run.output.queries, run.output.raw);
         assert!(out.is_empty());
-        assert_eq!(tally.skipped, 1);
+        assert_eq!(run.tally.skipped, 1);
         assert_eq!(raw.len(), 1);
         assert!(!raw[0].traced);
         assert!(raw[0].trace.is_empty());
@@ -505,7 +429,8 @@ mod tests {
                 );
             });
         }
-        let (out, tally) = run_collect_tally(&mut sim, &Classifier::ByMarker);
+        let run = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        let (out, tally) = (run.output.queries, run.tally);
         assert_eq!(out.len(), 3);
         assert_eq!(tally.ok, 3);
         assert_eq!(tally.skipped, 0);
@@ -536,7 +461,7 @@ mod tests {
                 });
             }
         }
-        let out = run_collect(&mut sim, &Classifier::ByMarker);
-        assert_eq!(out.len(), 60);
+        let run = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None);
+        assert_eq!(run.output.queries.len(), 60);
     }
 }

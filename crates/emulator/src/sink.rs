@@ -1,22 +1,20 @@
 //! Streaming result sinks: the fold side of the campaign pipeline.
 //!
 //! A [`QuerySink`] consumes each [`ProcessedQuery`] the moment the
-//! runner extracts it, instead of the legacy collect-then-analyze path
-//! that buffered a `Vec<ProcessedQuery>` (plus cloned packet traces) per
-//! run. `finish()` reduces the sink to its run-level output; the
-//! campaign merges run outputs in **descriptor order**, which is the
-//! whole determinism contract: per-run completion order is already
-//! deterministic (sharding never splits a world), so any sink that folds
-//! deterministically yields byte-identical campaign output at any
-//! thread count.
+//! runner extracts it. `finish()` reduces the sink to its run-level
+//! output; the campaign merges run outputs in **descriptor order**,
+//! which is the whole determinism contract: per-run completion order is
+//! already deterministic (sharding never splits a world), so any sink
+//! that folds deterministically yields byte-identical campaign output
+//! at any thread count.
 //!
 //! Raw [`CompletedQuery`] records — with their packet traces, the
 //! dominant memory cost — are only retained when a sink opts in via
 //! [`QuerySink::wants_raw`]; they are handed over **by value**, so
 //! opting in moves the trace instead of cloning it and opting out never
-//! materializes a copy at all. Wrap any sink in [`RetainRaw`] when a
-//! harness genuinely needs traces (Fig. 4's packet-cluster views,
-//! alternative-classifier scoring).
+//! materializes a copy at all. Wrap any sink in [`RetainRaw`], or use
+//! [`CollectSink::with_raw`], when a harness genuinely needs traces
+//! (Fig. 4's packet-cluster views, alternative-classifier scoring).
 
 use crate::campaign::RunDescriptor;
 use crate::runner::ProcessedQuery;
@@ -104,11 +102,11 @@ where
     }
 }
 
-/// The legacy behaviour as a sink: buffers every processed query (and,
-/// when built with `keep_raw`, every raw completion). Exists so the
-/// compatibility [`Campaign::execute`](crate::Campaign::execute) path
-/// and harnesses that genuinely need full query lists (e.g. per-session
-/// grouping over a handful of queries) ride the same pipeline.
+/// Buffers every processed query (and, when built
+/// [`with_raw`](CollectSink::with_raw), every raw completion). The sink
+/// behind [`Campaign::execute`](crate::Campaign::execute), for harnesses
+/// that genuinely need full query lists (e.g. per-session grouping over
+/// a handful of queries).
 #[derive(Debug, Default)]
 pub struct CollectSink {
     queries: Vec<ProcessedQuery>,
@@ -133,11 +131,12 @@ impl CollectSink {
         }
     }
 
-    /// A sink that additionally retains raw completions when asked.
-    pub fn with_raw(keep_raw: bool) -> CollectSink {
+    /// A sink that additionally retains raw completions when `raw` is
+    /// true.
+    pub fn with_raw(raw: bool) -> CollectSink {
         CollectSink {
             queries: Vec::new(),
-            raw: keep_raw.then(Vec::new),
+            raw: raw.then(Vec::new),
         }
     }
 }
@@ -252,11 +251,12 @@ impl<T, F: FnMut(&mut T, &ProcessedQuery)> QuerySink for FoldSink<T, F> {
     }
 }
 
-/// Streams the canonical campaign TSV rows (the exact per-query format
-/// of [`CampaignReport::to_tsv`](crate::CampaignReport::to_tsv), label
-/// column included) into a string as queries complete. The determinism
-/// suite uses it to check that a streaming campaign reproduces the
-/// golden trace byte-for-byte without ever buffering a query.
+/// Streams the canonical campaign TSV rows (label column included) into
+/// a string as queries complete. [`StreamReport::to_tsv`] reassembles
+/// the golden-trace document from them byte-for-byte without ever
+/// buffering a query.
+///
+/// [`StreamReport::to_tsv`]: crate::StreamReport::to_tsv
 #[derive(Debug)]
 pub struct TsvRows {
     label: String,
@@ -272,7 +272,8 @@ impl TsvRows {
         }
     }
 
-    /// Formats one query as its canonical TSV row.
+    /// Formats one query as its canonical TSV row — the one definition
+    /// of the row format, also used by the collected campaign TSV.
     pub fn format_row(label: &str, q: &ProcessedQuery) -> String {
         let fe = q.fe.map_or(-1, |f| f as i64);
         format!(

@@ -6,7 +6,6 @@
 //! ```
 
 use capture::Classifier;
-use emulator::runner::run_collect;
 use fecdn::prelude::*;
 use nettopo::path::PathProfile;
 
@@ -34,7 +33,9 @@ fn median_overall(
             );
         }
     });
-    let out = run_collect(&mut sim, &Classifier::ByMarker);
+    let out = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+        .output
+        .queries;
     let overall: Vec<f64> = out.iter().map(|q| q.params.overall_ms).collect();
     stats::quantile::median(&overall).unwrap()
 }

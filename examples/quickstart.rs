@@ -33,7 +33,9 @@ fn one_query(name: &str, scenario: &Scenario, cfg: ServiceConfig) {
             },
         );
     });
-    let mut queries = run_collect(&mut sim, &Classifier::ByMarker);
+    let mut queries = run_stream(&mut sim, &Classifier::ByMarker, CollectSink::new(), None)
+        .output
+        .queries;
     let q = queries.remove(0);
     println!("== {name} ==");
     println!(

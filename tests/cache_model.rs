@@ -10,10 +10,7 @@
 mod common;
 
 use cdnsim::{Cache, CacheConfig, CachePolicy, ObjectCache, ServiceConfig};
-use common::representative_campaign;
-use emulator::dataset_a::{DatasetA, KeywordPolicy};
-use emulator::dataset_b::DatasetB;
-use emulator::{Campaign, Design, Scenario};
+use common::{representative_campaign, representative_campaign_with};
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
 
@@ -202,8 +199,7 @@ proptest! {
     }
 }
 
-/// The representative campaign with the cache model installed on every
-/// run, tuned to be inert: the static cache is explicitly unbounded
+/// Installs the cache model on a service config, tuned to be inert: the static cache is explicitly unbounded
 /// (exactly what the default config provisions) and a result-cache
 /// config is provisioned without enabling result caching.
 fn installed_but_inert(cfg: ServiceConfig) -> ServiceConfig {
@@ -217,62 +213,12 @@ fn installed_but_inert(cfg: ServiceConfig) -> ServiceConfig {
     cfg
 }
 
-fn inert_cache_campaign(seed: u64) -> Campaign {
-    let mut c = Campaign::new(Scenario::small(seed));
-    c.push(
-        "a/bing",
-        installed_but_inert(ServiceConfig::bing_like(seed)),
-        Design::DatasetA(DatasetA {
-            repeats: 2,
-            spacing: SimDuration::from_secs(8),
-            keywords: KeywordPolicy::Fixed(0),
-        }),
-    );
-    c.push(
-        "a/google",
-        installed_but_inert(ServiceConfig::google_like(seed)),
-        Design::DatasetA(DatasetA {
-            repeats: 2,
-            spacing: SimDuration::from_secs(8),
-            keywords: KeywordPolicy::RoundRobin(5),
-        }),
-    );
-    c.push(
-        "b/fixed-fe",
-        installed_but_inert(ServiceConfig::google_like(seed)),
-        Design::DatasetB(DatasetB::against(0).with_repeats(3)),
-    );
-    c.push(
-        "custom/close-pair",
-        installed_but_inert(ServiceConfig::bing_like(seed)),
-        Design::custom(|sim| {
-            sim.with(|w, net| {
-                let fe = w.default_fe(0);
-                let be = w.be_of_fe(fe);
-                w.prewarm(net, fe, be, 2);
-                for r in 0..4u64 {
-                    w.schedule_query(
-                        net,
-                        SimDuration::from_millis(1_000 + r * 7_000),
-                        cdnsim::QuerySpec {
-                            client: 0,
-                            keyword: r,
-                            fixed_fe: Some(fe),
-                            instant_followup: false,
-                        },
-                    );
-                }
-            });
-        }),
-    )
-    .keep_raw = true;
-    c
-}
-
 #[test]
 fn installed_but_inert_cache_model_reproduces_committed_golden() {
     let plain = representative_campaign(42).execute_with_threads(2).to_tsv();
-    let installed = inert_cache_campaign(42).execute_with_threads(2).to_tsv();
+    let installed = representative_campaign_with(42, installed_but_inert)
+        .execute_with_threads(2)
+        .to_tsv();
     assert_eq!(plain, installed, "provisioning a cache changed behavior");
     common::compare_golden(
         &installed,
@@ -280,8 +226,12 @@ fn installed_but_inert_cache_model_reproduces_committed_golden() {
         "cache model installed but inert",
     );
     // Thread invariance on the installed side.
-    let serial = inert_cache_campaign(42).execute_with_threads(1).to_tsv();
-    let parallel = inert_cache_campaign(42).execute_with_threads(4).to_tsv();
+    let serial = representative_campaign_with(42, installed_but_inert)
+        .execute_with_threads(1)
+        .to_tsv();
+    let parallel = representative_campaign_with(42, installed_but_inert)
+        .execute_with_threads(4)
+        .to_tsv();
     assert_eq!(serial, parallel);
     assert_eq!(serial, installed);
 }

@@ -12,9 +12,9 @@
 mod common;
 
 use cdnsim::{LoadModel, QueryOutcome, ServiceConfig, ServiceWorld};
-use common::burst_design;
+use common::{burst_design, execute_raw};
 use emulator::dataset_b::DatasetB;
-use emulator::{Campaign, CampaignReport, Design, Scenario};
+use emulator::{Campaign, Collected, Design, Scenario, StreamReport};
 use nettopo::path::PathProfile;
 use std::collections::HashSet;
 use tcpsim::{Capture, Marker, PktDir, PktEvent, PktKind};
@@ -57,7 +57,7 @@ fn campaign(capture: Option<Capture>) -> Campaign {
             Some(capture) => captured_at(design, capture),
             None => design,
         };
-        c.push(label, cfg, design).keep_raw = true;
+        c.push(label, cfg, design);
     }
     c
 }
@@ -72,10 +72,10 @@ fn client_events(cq: &cdnsim::CompletedQuery) -> Vec<PktEvent> {
 }
 
 /// Asserts the per-query and per-run equivalence of the two captures.
-fn assert_equivalent(vantage: &CampaignReport, all: &CampaignReport) {
+fn assert_equivalent(vantage: &StreamReport<Collected>, all: &StreamReport<Collected>) {
     assert_eq!(vantage.to_tsv(), all.to_tsv(), "campaign TSV must not move");
     for label in ["b/lossy-access", "burst/shed"] {
-        let (v, a) = (vantage.get(label).unwrap(), all.get(label).unwrap());
+        let (v, a) = (vantage.output(label), all.output(label));
         assert_eq!(v.queries.len(), a.queries.len());
         for (qv, qa) in v.queries.iter().zip(&a.queries) {
             assert_eq!(qv.qid, qa.qid);
@@ -103,19 +103,19 @@ fn assert_equivalent(vantage: &CampaignReport, all: &CampaignReport) {
 #[test]
 fn vantage_capture_is_the_client_slice_of_the_full_capture() {
     for threads in [1, 4] {
-        let vantage = campaign(None).execute_with_threads(threads);
-        let all = campaign(Some(Capture::All)).execute_with_threads(threads);
+        let vantage = execute_raw(&campaign(None), threads);
+        let all = execute_raw(&campaign(Some(Capture::All)), threads);
         assert_equivalent(&vantage, &all);
 
         // The override took effect: the full capture holds FE/BE events.
-        let raw = &all.get("b/lossy-access").unwrap().raw;
+        let raw = &all.output("b/lossy-access").raw;
         assert!(raw
             .iter()
             .any(|cq| cq.trace.len() > client_events(cq).len()));
 
         // The campaign exercised the paths that matter: clients saw
         // retransmitted payload on the lossy access network ...
-        let retransmitted = vantage.get("b/lossy-access").unwrap().raw.iter().any(|cq| {
+        let retransmitted = vantage.output("b/lossy-access").raw.iter().any(|cq| {
             let mut seen = HashSet::new();
             cq.trace
                 .iter()
@@ -124,7 +124,7 @@ fn vantage_capture_is_the_client_slice_of_the_full_capture() {
         });
         assert!(retransmitted, "no client saw a retransmitted segment");
         // ... and shed queries came back as error stubs.
-        let shed = &vantage.get("burst/shed").unwrap().raw;
+        let shed = &vantage.output("burst/shed").raw;
         assert!(shed.iter().any(|cq| {
             matches!(cq.outcome, QueryOutcome::Shed { .. })
                 && cq.trace.iter().any(|e| {

@@ -1,57 +1,67 @@
 //! Helpers shared by the integration suites: the representative
-//! campaign, an overloading burst design, and the golden-file
-//! comparison protocol.
+//! campaign, raw-retaining execution, an overloading burst design, and
+//! the golden-file comparison protocol.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use cdnsim::{QuerySpec, ServiceConfig};
 use emulator::dataset_a::{DatasetA, KeywordPolicy};
 use emulator::dataset_b::DatasetB;
-use emulator::{Campaign, Design, Scenario};
+use emulator::{Campaign, CollectSink, Collected, Design, RunDescriptor, Scenario, StreamReport};
 use simcore::time::SimDuration;
 use std::path::PathBuf;
 
 /// A small campaign touching every design family: both stock dataset
-/// designs, both service archetypes, a custom closure design, and one
-/// run with raw-capture enabled.
+/// designs, both service archetypes and a custom closure design.
 pub fn representative_campaign(seed: u64) -> Campaign {
-    representative_campaign_with_metrics(seed, None)
+    representative_campaign_with(seed, |cfg| cfg)
 }
 
 /// [`representative_campaign`] with an explicit per-run telemetry
 /// override, so conformance tests are independent of the ambient
 /// `FECDN_METRICS` value.
 pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) -> Campaign {
+    let mut c = representative_campaign(seed);
+    for d in c.descriptors_mut() {
+        d.metrics = metrics;
+    }
+    c
+}
+
+/// [`representative_campaign`] with `cfg` applied to every run's
+/// service configuration — the invariance suites attach subsystems
+/// that must not change the committed golden.
+pub fn representative_campaign_with(
+    seed: u64,
+    cfg: impl Fn(ServiceConfig) -> ServiceConfig,
+) -> Campaign {
     let mut c = Campaign::new(Scenario::small(seed));
     c.push(
         "a/bing",
-        ServiceConfig::bing_like(seed),
+        cfg(ServiceConfig::bing_like(seed)),
         Design::DatasetA(DatasetA {
             repeats: 2,
             spacing: SimDuration::from_secs(8),
             keywords: KeywordPolicy::Fixed(0),
         }),
-    )
-    .metrics = metrics;
+    );
     c.push(
         "a/google",
-        ServiceConfig::google_like(seed),
+        cfg(ServiceConfig::google_like(seed)),
         Design::DatasetA(DatasetA {
             repeats: 2,
             spacing: SimDuration::from_secs(8),
             keywords: KeywordPolicy::RoundRobin(5),
         }),
-    )
-    .metrics = metrics;
+    );
     c.push(
         "b/fixed-fe",
-        ServiceConfig::google_like(seed),
+        cfg(ServiceConfig::google_like(seed)),
         Design::DatasetB(DatasetB::against(0).with_repeats(3)),
-    )
-    .metrics = metrics;
-    let run = c.push(
+    );
+    c.push(
         "custom/close-pair",
-        ServiceConfig::bing_like(seed),
+        cfg(ServiceConfig::bing_like(seed)),
         Design::custom(|sim| {
             sim.with(|w, net| {
                 let fe = w.default_fe(0);
@@ -61,7 +71,7 @@ pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) ->
                     w.schedule_query(
                         net,
                         SimDuration::from_millis(1_000 + r * 7_000),
-                        cdnsim::QuerySpec {
+                        QuerySpec {
                             client: 0,
                             keyword: r,
                             fixed_fe: Some(fe),
@@ -72,9 +82,13 @@ pub fn representative_campaign_with_metrics(seed: u64, metrics: Option<bool>) ->
             });
         }),
     );
-    run.keep_raw = true;
-    run.metrics = metrics;
     c
+}
+
+/// Executes `c` on `threads` workers with every run retaining its raw
+/// completions (packet traces included) next to its processed queries.
+pub fn execute_raw(c: &Campaign, threads: usize) -> StreamReport<Collected> {
+    c.execute_stream_with_threads(&|_: &RunDescriptor| CollectSink::with_raw(true), threads)
 }
 
 /// One scheduled burst: `n` clients fire at t = 1 ms, half pinned to

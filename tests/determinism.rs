@@ -17,16 +17,15 @@
 
 mod common;
 
-use common::{compare_golden, representative_campaign};
+use common::{compare_golden, execute_raw, representative_campaign};
 use emulator::{FoldSink, ProcessedQuery, RunDescriptor, TsvRows};
-use emulator::{StreamReport, TSV_HEADER};
 use stats::{QuantileAcc, Welford};
 
 #[test]
 fn campaign_output_is_thread_invariant() {
     let c = representative_campaign(42);
-    let serial = c.execute_with_threads(1);
-    let sharded = c.execute_with_threads(4);
+    let serial = execute_raw(&c, 1);
+    let sharded = execute_raw(&c, 4);
     assert_eq!(serial.threads, 1);
     assert_eq!(sharded.threads, 4.min(c.len()).max(1));
     assert_eq!(
@@ -35,40 +34,13 @@ fn campaign_output_is_thread_invariant() {
         "merged TSV must be byte-identical at 1 and 4 workers"
     );
     // Raw captures merge identically too (same traces, same order).
-    let a = &serial.get("custom/close-pair").unwrap().raw;
-    let b = &sharded.get("custom/close-pair").unwrap().raw;
+    let a = &serial.output("custom/close-pair").raw;
+    let b = &sharded.output("custom/close-pair").raw;
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.trace.len(), y.trace.len());
         assert_eq!(x.client, y.client);
     }
-}
-
-/// Reassembles the legacy `CampaignReport::to_tsv` document from a
-/// streaming execution's per-run row strings.
-fn stream_tsv(report: &StreamReport<String>) -> String {
-    let mut out = String::from(TSV_HEADER);
-    for r in &report.runs {
-        let t = &r.tally;
-        // Mirrors `CampaignReport::to_tsv`: `shed` / `no_live_fe` only
-        // when non-zero.
-        let shed = if t.shed > 0 {
-            format!(" shed={}", t.shed)
-        } else {
-            String::new()
-        };
-        let no_live = if t.no_live_fe > 0 {
-            format!(" no_live_fe={}", t.no_live_fe)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "# run={} ok={} degraded={} retried={} timed_out={}{}{} skipped={}\n",
-            r.label, t.ok, t.degraded, t.retried, t.timed_out, shed, no_live, t.skipped
-        ));
-        out.push_str(&r.output);
-    }
-    out
 }
 
 #[test]
@@ -79,17 +51,17 @@ fn streaming_sink_is_thread_invariant_and_matches_collect_path() {
     let stream4 = c.execute_stream_with_threads(&rows, 4);
 
     // The streamed TSV is byte-identical at any worker count AND to the
-    // collect-then-format legacy path (which the golden traces pin).
-    let legacy = c.execute_with_threads(4).to_tsv();
+    // collect-then-format path (which the golden traces pin).
+    let collected = c.execute_with_threads(4).to_tsv();
     assert_eq!(
-        stream_tsv(&stream1),
-        legacy,
-        "streamed TSV at 1 worker must match the legacy collect path"
+        stream1.to_tsv(),
+        collected,
+        "streamed TSV at 1 worker must match the collect path"
     );
     assert_eq!(
-        stream_tsv(&stream4),
-        legacy,
-        "streamed TSV at 4 workers must match the legacy collect path"
+        stream4.to_tsv(),
+        collected,
+        "streamed TSV at 4 workers must match the collect path"
     );
 
     // Reducer state is bit-identical across thread counts too: each run

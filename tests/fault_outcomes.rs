@@ -9,6 +9,8 @@
 //! seed. The three runs execute as one sharded campaign — the tallies
 //! must come out exact no matter which worker ran which world.
 
+mod common;
+
 use cdnsim::{QueryOutcome, QuerySpec, RetryPolicy, ServiceConfig};
 use emulator::{Campaign, Design, Scenario};
 use nettopo::FaultPlan;
@@ -106,9 +108,9 @@ fn fault_campaign_tallies_are_exact() {
         ("faults/timed-out", timed_out_cfg),
         ("faults/degraded", degraded_cfg),
     ] {
-        c.push(label, cfg, burst_design()).keep_raw = true;
+        c.push(label, cfg, burst_design());
     }
-    let report = c.execute_with_threads(2);
+    let report = common::execute_raw(&c, 2);
 
     // ---- Retried(2) for every query ----
     let retried = report.get("faults/retried").unwrap();
@@ -118,8 +120,8 @@ fn fault_campaign_tallies_are_exact() {
         (0, 0, QUERIES, 0),
         "{t:?}"
     );
-    assert_eq!(retried.raw.len(), QUERIES);
-    for cq in &retried.raw {
+    assert_eq!(retried.output.raw.len(), QUERIES);
+    for cq in &retried.output.raw {
         assert_eq!(
             cq.outcome,
             QueryOutcome::Retried(2),
@@ -141,12 +143,13 @@ fn fault_campaign_tallies_are_exact() {
         "{t:?}"
     );
     assert!(timed_out
+        .output
         .raw
         .iter()
         .all(|cq| cq.outcome == QueryOutcome::TimedOut { attempts: 2 }));
     // Timed-out sessions have no complete timeline; the accounting
     // identity (processed + skipped = total) must still close.
-    assert_eq!(timed_out.queries.len() + t.skipped, t.total());
+    assert_eq!(timed_out.output.queries.len() + t.skipped, t.total());
 
     // ---- Degraded for every query ----
     let degraded = report.get("faults/degraded").unwrap();
@@ -156,7 +159,7 @@ fn fault_campaign_tallies_are_exact() {
         (0, QUERIES, 0, 0),
         "{t:?}"
     );
-    for cq in &degraded.raw {
+    for cq in &degraded.output.raw {
         assert_eq!(cq.outcome, QueryOutcome::Degraded);
         assert_eq!(cq.plan.dynamic_bytes, cdnsim::world::DEGRADED_STUB_BYTES);
     }

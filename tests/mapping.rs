@@ -74,7 +74,7 @@ fn loadaware_flash_campaign(seed: u64) -> Campaign {
             max_slowdown: 10.0,
         });
     let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
-    c.push("map/loadaware-flash", cfg, flash_design()).keep_raw = true;
+    c.push("map/loadaware-flash", cfg, flash_design());
     c
 }
 
@@ -122,7 +122,7 @@ fn sessions_are_conserved_across_remapping_epochs() {
     // Epoch-driven re-mapping shifts demand mid-run; it must never
     // drop, duplicate or strand a session. Exercise both the pure
     // flash crowd and a variant where an outage forces typed failures.
-    let report = loadaware_flash_campaign(42).execute_with_threads(1);
+    let report = common::execute_raw(&loadaware_flash_campaign(42), 1);
     let run = report.get("map/loadaware-flash").unwrap();
     let t = &run.tally;
     assert_eq!(
@@ -130,7 +130,7 @@ fn sessions_are_conserved_across_remapping_epochs() {
         FLASH_QUERIES,
         "every scheduled query must surface exactly once in the tally: {t:?}"
     );
-    assert_eq!(run.raw.len(), FLASH_QUERIES);
+    assert_eq!(run.output.raw.len(), FLASH_QUERIES);
 
     // Same crowd, but every FE dark for the whole run: all sessions
     // must surface as typed no-live-FE failures — still conserved.
@@ -146,7 +146,7 @@ fn sessions_are_conserved_across_remapping_epochs() {
         .with_mapping(MappingPolicy::LoadAware(LoadAwarePolicy::default()))
         .with_faults(all_dark);
     let mut c = Campaign::new(scenario);
-    c.push("map/dark", cfg, flash_design()).keep_raw = true;
+    c.push("map/dark", cfg, flash_design());
     let report = c.execute_with_threads(1);
     let run = report.get("map/dark").unwrap();
     assert_eq!(run.tally.no_live_fe, FLASH_QUERIES);
@@ -171,11 +171,11 @@ fn all_dead_fes_fail_fast_with_typed_outcome() {
         .with_mapping(MappingPolicy::DnsGeoTtl(GeoTtlPolicy::default()))
         .with_faults(all_dark);
     let mut c = Campaign::new(scenario);
-    c.push("map/no-live", cfg, flash_design()).keep_raw = true;
-    let report = c.execute_with_threads(1);
-    let run = report.get("map/no-live").unwrap();
-    assert_eq!(run.raw.len(), FLASH_QUERIES);
-    for cq in &run.raw {
+    c.push("map/no-live", cfg, flash_design());
+    let report = common::execute_raw(&c, 1);
+    let raw = &report.output("map/no-live").raw;
+    assert_eq!(raw.len(), FLASH_QUERIES);
+    for cq in raw {
         assert_eq!(
             cq.outcome,
             QueryOutcome::NoLiveFe { attempts: 1 },

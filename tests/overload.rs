@@ -23,8 +23,8 @@ use cdnsim::{
     BreakerPolicy, CompletedQuery, LoadModel, QueryOutcome, QuerySpec, RetryBudget, RetryPolicy,
     ServiceConfig,
 };
-use common::{burst_design, representative_campaign};
-use emulator::{Campaign, Design, Scenario};
+use common::{burst_design, execute_raw, representative_campaign, representative_campaign_with};
+use emulator::{Campaign, Collected, Design, Scenario, StreamReport};
 use nettopo::{BurstLossParams, FaultPlan};
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
@@ -40,76 +40,22 @@ fn armed_but_inert(cfg: ServiceConfig) -> ServiceConfig {
         .with_circuit_breaker(BreakerPolicy::default())
 }
 
-/// The representative campaign with the armed-but-inert overload block
-/// attached to every run.
-fn inert_overload_campaign(seed: u64) -> Campaign {
-    use emulator::dataset_a::{DatasetA, KeywordPolicy};
-    use emulator::dataset_b::DatasetB;
-    let mut c = Campaign::new(Scenario::small(seed));
-    c.push(
-        "a/bing",
-        armed_but_inert(ServiceConfig::bing_like(seed)),
-        Design::DatasetA(DatasetA {
-            repeats: 2,
-            spacing: SimDuration::from_secs(8),
-            keywords: KeywordPolicy::Fixed(0),
-        }),
-    );
-    c.push(
-        "a/google",
-        armed_but_inert(ServiceConfig::google_like(seed)),
-        Design::DatasetA(DatasetA {
-            repeats: 2,
-            spacing: SimDuration::from_secs(8),
-            keywords: KeywordPolicy::RoundRobin(5),
-        }),
-    );
-    c.push(
-        "b/fixed-fe",
-        armed_but_inert(ServiceConfig::google_like(seed)),
-        Design::DatasetB(DatasetB::against(0).with_repeats(3)),
-    );
-    c.push(
-        "custom/close-pair",
-        armed_but_inert(ServiceConfig::bing_like(seed)),
-        Design::custom(|sim| {
-            sim.with(|w, net| {
-                let fe = w.default_fe(0);
-                let be = w.be_of_fe(fe);
-                w.prewarm(net, fe, be, 2);
-                for r in 0..4u64 {
-                    w.schedule_query(
-                        net,
-                        SimDuration::from_millis(1_000 + r * 7_000),
-                        QuerySpec {
-                            client: 0,
-                            keyword: r,
-                            fixed_fe: Some(fe),
-                            instant_followup: false,
-                        },
-                    );
-                }
-            });
-        }),
-    )
-    .keep_raw = true;
-    c
-}
-
 #[test]
 fn inert_overload_policies_leave_campaign_tsv_byte_identical() {
     // Same seed, same designs; the only difference is the armed-but-
     // inert overload policy block. The TSVs must match byte for byte —
     // this is the golden-invariance guarantee with policies attached.
     let plain = representative_campaign(4242).execute().to_tsv();
-    let guarded = inert_overload_campaign(4242).execute().to_tsv();
+    let guarded = representative_campaign_with(4242, armed_but_inert)
+        .execute()
+        .to_tsv();
     assert_eq!(plain, guarded);
 
     // And thread count must not matter on the guarded side either.
-    let serial = inert_overload_campaign(4242)
+    let serial = representative_campaign_with(4242, armed_but_inert)
         .execute_with_threads(1)
         .to_tsv();
-    let parallel = inert_overload_campaign(4242)
+    let parallel = representative_campaign_with(4242, armed_but_inert)
         .execute_with_threads(4)
         .to_tsv();
     assert_eq!(serial, parallel);
@@ -126,7 +72,9 @@ fn disabled_overload_matches_committed_golden() {
     // directly.)
     let plain = representative_campaign(42).execute_with_threads(4).to_tsv();
     common::compare_golden(&plain, "campaign_seed42.tsv", "overload subsystem disabled");
-    let guarded = inert_overload_campaign(42).execute_with_threads(4).to_tsv();
+    let guarded = representative_campaign_with(42, armed_but_inert)
+        .execute_with_threads(4)
+        .to_tsv();
     common::compare_golden(
         &guarded,
         "campaign_seed42.tsv",
@@ -256,9 +204,7 @@ fn fault_paths_campaign(seed: u64, labels: &[&str]) -> Campaign {
         if !labels.contains(&label) {
             continue;
         }
-        let d = c.push(label, cfg, design);
-        d.keep_raw = true;
-        d.metrics = Some(true);
+        c.push(label, cfg, design).metrics = Some(true);
     }
     c
 }
@@ -276,11 +222,11 @@ fn trace_digest(cq: &CompletedQuery) -> u64 {
 /// The campaign TSV followed by one line per completed query with its
 /// outcome, ground-truth stamps and trace digest — the TSV alone keeps
 /// only queries whose timeline could be analysed.
-fn fault_paths_document(report: &emulator::CampaignReport) -> String {
+fn fault_paths_document(report: &StreamReport<Collected>) -> String {
     let mut out = report.to_tsv();
     out.push_str("#raw\tlabel\tqid\tclient\tfe\tbe\toutcome\tt_start\tt_done\tfetch_start\tfetch_done\tpkts\ttrace_fnv\n");
     for r in &report.runs {
-        for cq in &r.raw {
+        for cq in &r.output.raw {
             out.push_str(&format!(
                 "#raw\t{}\t{}\t{}\t{:?}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{:016x}\n",
                 r.label,
@@ -303,11 +249,11 @@ fn fault_paths_document(report: &emulator::CampaignReport) -> String {
 
 /// Runs the named fault paths at 1 and 4 workers, checks both against
 /// the committed golden `golden`, and returns both reports.
-fn fault_paths_match_golden(labels: &[&str], golden: &str) -> Vec<emulator::CampaignReport> {
+fn fault_paths_match_golden(labels: &[&str], golden: &str) -> Vec<StreamReport<Collected>> {
     let c = fault_paths_campaign(4242, labels);
     [1, 4]
         .map(|threads| {
-            let report = c.execute_with_threads(threads);
+            let report = execute_raw(&c, threads);
             common::compare_golden(
                 &fault_paths_document(&report),
                 golden,
@@ -318,7 +264,7 @@ fn fault_paths_match_golden(labels: &[&str], golden: &str) -> Vec<emulator::Camp
         .into()
 }
 
-fn fault_counter(report: &emulator::CampaignReport, label: &str, name: &str) -> u64 {
+fn fault_counter(report: &StreamReport<Collected>, label: &str, name: &str) -> u64 {
     report
         .get(label)
         .unwrap()
@@ -442,10 +388,10 @@ proptest! {
 
         // 10 vantages so every chaos client index (n_queries < 10) is valid.
         let mut c = Campaign::new(Scenario::with_size(seed, 10, 60));
-        c.push("chaos", cfg, burst_design(n_queries)).keep_raw = true;
+        c.push("chaos", cfg, burst_design(n_queries));
 
-        let serial = c.execute_with_threads(1);
-        let parallel = c.execute_with_threads(4);
+        let serial = execute_raw(&c, 1);
+        let parallel = execute_raw(&c, 4);
         prop_assert_eq!(serial.to_tsv(), parallel.to_tsv());
 
         let run = serial.get("chaos").unwrap();
@@ -457,9 +403,10 @@ proptest! {
             t
         );
         prop_assert_eq!(t.total(), n_queries);
-        prop_assert_eq!(run.raw.len(), n_queries);
+        prop_assert_eq!(run.output.raw.len(), n_queries);
         // Outcome rows and tally buckets must agree exactly.
         let shed = run
+            .output
             .raw
             .iter()
             .filter(|cq| matches!(cq.outcome, QueryOutcome::Shed { .. }))

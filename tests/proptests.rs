@@ -616,7 +616,7 @@ proptest! {
         let t = run.tally;
         let scheduled = n_clients * repeats as usize;
         prop_assert_eq!(t.total(), scheduled, "tally {:?}", t);
-        prop_assert_eq!(run.queries.len() + t.skipped, t.total(), "tally {:?}", t);
+        prop_assert_eq!(run.output.queries.len() + t.skipped, t.total(), "tally {:?}", t);
         prop_assert_eq!(t.ok + t.degraded + t.retried + t.timed_out + t.shed, t.total());
     }
 }

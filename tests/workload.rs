@@ -145,7 +145,7 @@ proptest! {
         let rows = |c: &Campaign| -> String {
             let report = c.execute_with_threads(2);
             let run = report.get("sessions/reorder").unwrap();
-            run.queries
+            run.output.queries
                 .iter()
                 .map(|q| emulator::TsvRows::format_row("sessions/reorder", q))
                 .collect()
