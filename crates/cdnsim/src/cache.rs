@@ -19,8 +19,9 @@
 //! * an object larger than the byte capacity is rejected, never
 //!   admitted-then-evicted; a zero-capacity cache holds nothing.
 
+use simcore::hash::DetHashMap;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Eviction policy of an [`ObjectCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,7 +189,7 @@ struct Entry<V> {
 #[derive(Clone, Debug)]
 pub struct ObjectCache<V> {
     cfg: CacheConfig,
-    map: HashMap<u64, Entry<V>>,
+    map: DetHashMap<u64, Entry<V>>,
     /// Eviction index: `(policy rank, tick, key)`, smallest evicts
     /// first. Rank is recency (LRU), frequency (LFU) or expiry instant
     /// (TTL); the `(tick, key)` tail makes the order total and
@@ -204,7 +205,7 @@ impl<V> ObjectCache<V> {
     pub fn new(cfg: CacheConfig) -> ObjectCache<V> {
         ObjectCache {
             cfg,
-            map: HashMap::new(),
+            map: DetHashMap::default(),
             order: BTreeSet::new(),
             bytes: 0,
             tick: 0,

@@ -189,7 +189,7 @@ mod tests {
         let fleet = dense_edge(5);
         let resolver = DnsResolver::new(&pts, &fleet, DnsPolicy::RandomizedTopK(3));
         let mut rng = simcore::rng::Rng::from_seed(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = simcore::hash::DetHashSet::default();
         for _ in 0..60 {
             let fe = resolver.resolve(0, &mut rng, |_| 0.0);
             assert!(resolver.candidates(0).contains(&fe));

@@ -50,9 +50,9 @@
 
 use nettopo::faults::FaultPlan;
 use nettopo::geo::GeoPoint;
+use simcore::hash::DetHashMap;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Which client→FE mapping strategy a service runs
 /// ([`ServiceConfig::mapping`](crate::ServiceConfig::mapping)).
@@ -209,7 +209,7 @@ pub trait MappingStrategy {
 #[derive(Debug)]
 pub struct NearestLive {
     ttl: SimDuration,
-    cache: HashMap<usize, (usize, SimTime)>,
+    cache: DetHashMap<usize, (usize, SimTime)>,
 }
 
 impl NearestLive {
@@ -217,7 +217,7 @@ impl NearestLive {
     pub fn new(ttl: SimDuration) -> NearestLive {
         NearestLive {
             ttl,
-            cache: HashMap::new(),
+            cache: DetHashMap::default(),
         }
     }
 }
@@ -261,7 +261,7 @@ impl MappingStrategy for NearestLive {
 #[derive(Debug)]
 pub struct DnsGeoTtl {
     policy: GeoTtlPolicy,
-    cache: HashMap<(i64, i64), (usize, SimTime)>,
+    cache: DetHashMap<(i64, i64), (usize, SimTime)>,
 }
 
 impl DnsGeoTtl {
@@ -270,7 +270,7 @@ impl DnsGeoTtl {
         assert!(policy.bucket_deg > 0.0);
         DnsGeoTtl {
             policy,
-            cache: HashMap::new(),
+            cache: DetHashMap::default(),
         }
     }
 

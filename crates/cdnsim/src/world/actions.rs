@@ -21,8 +21,17 @@ pub(super) struct ServedResponse {
 
 impl ServiceWorld {
     pub(super) fn push_action(&mut self, net: &mut Net, delay: SimDuration, action: Action) {
-        let token = self.actions.len() as u64;
-        self.actions.push(action);
+        // Token values only name table slots; they never order events.
+        let token = match self.free_actions.pop() {
+            Some(t) => {
+                self.actions[t as usize] = Some(action);
+                t
+            }
+            None => {
+                self.actions.push(Some(action));
+                self.actions.len() as u64 - 1
+            }
+        };
         net.set_timer(delay, token);
     }
 
@@ -83,9 +92,9 @@ impl ServiceWorld {
             self.queries.get_mut(&qid).unwrap().fe_overhead_ms = overhead.as_millis_f64();
             self.push_action(net, overhead, Action::FeServe { qid });
         } else {
-            let kw = self.corpus.get(kw_id).clone();
             let region = Some(self.clients[self.queries[&qid].client].region);
-            let result = self.bes[be].1.handle_query(&kw, followup, region);
+            let kw = self.corpus.get(kw_id);
+            let result = self.bes[be].1.handle_query(kw, followup, region);
             {
                 let q = self.queries.get_mut(&qid).unwrap();
                 q.proc_ms = result.proc_time.as_millis_f64();
@@ -344,10 +353,7 @@ impl ServiceWorld {
         self.cancel_hedge(net, qid);
         self.breaker_record_failure(fe, net.now());
         let now = net.now();
-        let next_be = self
-            .ranked_bes(fe)
-            .into_iter()
-            .find(|&b| b != cur_be && !self.cfg.faults.be_down(b, now));
+        let next_be = self.nearest_live_be(fe, now, Some(cur_be));
         let next_be = match next_be {
             // One failover per site at most: once every site has been
             // given a deadline's worth of time, serve what we have.
@@ -413,11 +419,7 @@ impl ServiceWorld {
             _ => return,
         };
         let now = net.now();
-        let hedge_be = match self
-            .ranked_bes(fe)
-            .into_iter()
-            .find(|&b| b != cur_be && !self.cfg.faults.be_down(b, now))
-        {
+        let hedge_be = match self.nearest_live_be(fe, now, Some(cur_be)) {
             Some(b) => b,
             None => return, // nowhere to hedge to
         };
@@ -554,9 +556,9 @@ impl ServiceWorld {
             let q = &self.queries[&qid];
             (q.keyword, q.instant_followup, q.client)
         };
-        let kw = self.corpus.get(kw_id).clone();
         let region = Some(self.clients[client].region);
-        let result = self.bes[be].1.handle_query(&kw, followup, region);
+        let kw = self.corpus.get(kw_id);
+        let result = self.bes[be].1.handle_query(kw, followup, region);
         let mut proc = result.proc_time;
         // BE concurrency slowdown: processing time stretches with the
         // queue at this BE site.
@@ -779,7 +781,10 @@ impl App for ServiceWorld {
     }
 
     fn on_timer(&mut self, net: &mut Net, token: u64) {
-        let action = self.actions[token as usize].clone();
+        let action = self.actions[token as usize]
+            .take()
+            .expect("app timer fired twice");
+        self.free_actions.push(token);
         match action {
             Action::Start(spec) => self.start_query(net, spec, 0),
             Action::StartRetry { spec, attempt } => self.start_query(net, spec, attempt),

@@ -15,10 +15,14 @@ impl ServiceWorld {
     /// typed [`QueryOutcome::NoLiveFe`].
     pub(super) fn resolve_fe(&mut self, now: SimTime, client: usize) -> Option<usize> {
         let outages_possible = self.cfg.faults.has_fe_outages();
-        let ranked = if self.mapper.wants_ranked(outages_possible) {
-            self.ranked_fes(client)
+        // FE indices ranked by distance from the client, memoized.
+        let ranked: &[usize] = if self.mapper.wants_ranked(outages_possible) {
+            let (pt, fes) = (self.clients[client].pt, &self.fes);
+            self.fe_rank
+                .entry(client)
+                .or_insert_with(|| rank_by(fes.len(), |f| pt.distance_miles(&fes[f].site.pt)))
         } else {
-            Vec::new()
+            &[]
         };
         let knee = self
             .cfg
@@ -29,7 +33,7 @@ impl ServiceWorld {
             now,
             client,
             default_fe: self.dns.fe_of(client),
-            ranked: &ranked,
+            ranked,
             client_pt: self.clients[client].pt,
             faults: &self.cfg.faults,
             outages_possible,
@@ -87,11 +91,7 @@ impl ServiceWorld {
         if !self.cfg.faults.has_be_outages() || !self.cfg.faults.be_down(primary, now) {
             return primary;
         }
-        let chosen = self
-            .ranked_bes(fe)
-            .into_iter()
-            .find(|&b| !self.cfg.faults.be_down(b, now))
-            .unwrap_or(primary);
+        let chosen = self.nearest_live_be(fe, now, None).unwrap_or(primary);
         if chosen != primary {
             self.metrics.inc("cdnsim.be_failovers");
         }

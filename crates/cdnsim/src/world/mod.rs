@@ -36,10 +36,10 @@ use nettopo::sites::BeSite;
 use nettopo::vantage::{AccessKind, Vantage};
 use searchbe::datacenter::BeDataCenter;
 use searchbe::keywords::{KeywordClass, KeywordCorpus};
+use simcore::hash::DetHashMap;
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use tcpsim::{
     App, Capture, ConnId, DeliveredSpan, End, LinkFault, Marker, Net, NodeId, PathParams, PktEvent,
 };
@@ -317,11 +317,15 @@ pub struct ServiceWorld {
     corpus: KeywordCorpus,
     dns: DnsMap,
     be_of_fe: Vec<usize>,
-    free_pool: HashMap<(usize, usize), Vec<ConnId>>,
-    conn_info: HashMap<ConnId, ConnInfo>,
-    warmup_progress: HashMap<ConnId, (u64, u64)>,
-    queries: HashMap<u64, QueryState>,
-    actions: Vec<Action>,
+    free_pool: DetHashMap<(usize, usize), Vec<ConnId>>,
+    conn_info: DetHashMap<ConnId, ConnInfo>,
+    warmup_progress: DetHashMap<ConnId, (u64, u64)>,
+    queries: DetHashMap<u64, QueryState>,
+    // Pending app-timer actions, indexed by timer token. A fired slot is
+    // emptied and its token recycled through `free_actions`, so the
+    // table stays as large as the peak number of pending timers.
+    actions: Vec<Option<Action>>,
+    free_actions: Vec<u64>,
     completed: Vec<CompletedQuery>,
     next_qid: u64,
     retry_rng: Rng,
@@ -331,20 +335,28 @@ pub struct ServiceWorld {
     // start so an idle world still quiesces.
     mapper: Mapper,
     epoch_armed: bool,
-    fe_rank: HashMap<usize, Vec<usize>>,
-    be_rank: HashMap<usize, Vec<usize>>,
+    fe_rank: DetHashMap<usize, Vec<usize>>,
+    be_rank: DetHashMap<usize, Vec<usize>>,
     // Concurrency bookkeeping for the load model and admission control.
     // Maintained unconditionally (no RNG, no scheduling), consulted only
     // when a load model or overload policy is enabled.
     fe_inflight: Vec<u32>,
     be_inflight: Vec<u32>,
     // Per-client retry-token buckets (lazy refill at spend time).
-    retry_tokens: HashMap<usize, (f64, SimTime)>,
+    retry_tokens: DetHashMap<usize, (f64, SimTime)>,
     // Per-FE circuit breakers over BE fetch failures.
     breakers: Vec<BreakerState>,
     // Observe-only service-layer telemetry (cache hits, failovers, DNS
     // re-maps). Draws no randomness and schedules nothing.
     metrics: MetricsRegistry,
+}
+
+/// Indices `0..n` sorted by ascending `dist` (stable: ties keep index
+/// order).
+fn rank_by(n: usize, dist: impl Fn(usize) -> f64) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by(|&a, &b| dist(a).total_cmp(&dist(b)));
+    idx
 }
 
 impl ServiceWorld {
@@ -413,21 +425,22 @@ impl ServiceWorld {
             corpus,
             dns,
             be_of_fe,
-            free_pool: HashMap::new(),
-            conn_info: HashMap::new(),
-            warmup_progress: HashMap::new(),
-            queries: HashMap::new(),
+            free_pool: DetHashMap::default(),
+            conn_info: DetHashMap::default(),
+            warmup_progress: DetHashMap::default(),
+            queries: DetHashMap::default(),
             actions: Vec::new(),
+            free_actions: Vec::new(),
             completed: Vec::new(),
             next_qid: 1,
             retry_rng,
             mapper,
             epoch_armed: false,
-            fe_rank: HashMap::new(),
-            be_rank: HashMap::new(),
+            fe_rank: DetHashMap::default(),
+            be_rank: DetHashMap::default(),
             fe_inflight: vec![0; n_fes],
             be_inflight: vec![0; n_bes],
-            retry_tokens: HashMap::new(),
+            retry_tokens: DetHashMap::default(),
             breakers: vec![BreakerState::new(); n_fes],
             metrics: MetricsRegistry::from_env(),
         }
@@ -508,34 +521,16 @@ impl ServiceWorld {
         self.be_of_fe[fe]
     }
 
-    /// FE indices ranked by distance from a client (memoized).
-    fn ranked_fes(&mut self, client: usize) -> Vec<usize> {
-        if let Some(r) = self.fe_rank.get(&client) {
-            return r.clone();
-        }
-        let pt = self.clients[client].pt;
-        let mut idx: Vec<usize> = (0..self.fes.len()).collect();
-        idx.sort_by(|&a, &b| {
-            pt.distance_miles(&self.fes[a].site.pt)
-                .total_cmp(&pt.distance_miles(&self.fes[b].site.pt))
-        });
-        self.fe_rank.insert(client, idx.clone());
-        idx
-    }
-
-    /// BE indices ranked by distance from an FE (memoized).
-    fn ranked_bes(&mut self, fe: usize) -> Vec<usize> {
-        if let Some(r) = self.be_rank.get(&fe) {
-            return r.clone();
-        }
-        let pt = self.fes[fe].site.pt;
-        let mut idx: Vec<usize> = (0..self.bes.len()).collect();
-        idx.sort_by(|&a, &b| {
-            pt.distance_miles(&self.bes[a].0.pt)
-                .total_cmp(&pt.distance_miles(&self.bes[b].0.pt))
-        });
-        self.be_rank.insert(fe, idx.clone());
-        idx
+    /// The nearest BE site to `fe`, other than `skip`, that is not in an
+    /// outage window at `now` (distance ranking memoized per FE).
+    fn nearest_live_be(&mut self, fe: usize, now: SimTime, skip: Option<usize>) -> Option<usize> {
+        let (pt, bes, faults) = (self.fes[fe].site.pt, &self.bes, &self.cfg.faults);
+        self.be_rank
+            .entry(fe)
+            .or_insert_with(|| rank_by(bes.len(), |b| pt.distance_miles(&bes[b].0.pt)))
+            .iter()
+            .copied()
+            .find(|&b| Some(b) != skip && !faults.be_down(b, now))
     }
 
     /// Number of FEs in the fleet.

@@ -112,7 +112,8 @@ impl ServiceWorld {
         self.arm_mapping_epoch(net);
         let qid = self.next_qid;
         self.next_qid += 1;
-        let kw = self.corpus.get(spec.keyword).clone();
+        let kw = self.corpus.get(spec.keyword);
+        let class = kw.class;
         let req = RequestSpec::for_query_len(kw.chars(), 500_000_000_000 + qid);
         let now = net.now();
         let (fe, be, server_pt, rtt_fe_be_ms, dist_fe_be): (
@@ -139,7 +140,7 @@ impl ServiceWorld {
                         fe: None,
                         be: 0,
                         keyword: spec.keyword,
-                        class: kw.class,
+                        class,
                         t_start: now,
                         t_done: now,
                         plan: ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE),
@@ -204,7 +205,7 @@ impl ServiceWorld {
                 fe,
                 be,
                 keyword: spec.keyword,
-                class: kw.class,
+                class,
                 instant_followup: spec.instant_followup,
                 fixed_fe: spec.fixed_fe,
                 attempt,

@@ -833,3 +833,51 @@ fn inert_overload_policies_do_not_change_a_run() {
         assert_eq!(a.len, b.len);
     }
 }
+
+#[test]
+fn action_table_stays_at_peak_pending_timers() {
+    // Forty queries, each started when the previous one completes, with
+    // a client deadline that outlives several of them: fired action
+    // slots are recycled, so the table never grows past the peak number
+    // of app timers pending at once.
+    const N: usize = 40;
+    let cfg = ServiceConfig::google_like(1).with_client_retry(crate::service::RetryPolicy {
+        deadline: SimDuration::from_secs(1),
+        ..crate::service::RetryPolicy::default()
+    });
+    let mut sim = small_world(cfg);
+    let start = |sim: &mut Sim<ServiceWorld>| {
+        sim.with(|w, net| {
+            w.schedule_query(
+                net,
+                SimDuration::from_millis(1),
+                QuerySpec {
+                    client: 0,
+                    keyword: 3,
+                    fixed_fe: None,
+                    instant_followup: false,
+                },
+            )
+        })
+    };
+    let pending = |sim: &Sim<ServiceWorld>| sim.app().actions.iter().flatten().count();
+    start(&mut sim);
+    let (mut started, mut done, mut peak) = (1, 0, pending(&sim));
+    while let Some(t) = sim.net().next_event_time() {
+        sim.run_until(t);
+        peak = peak.max(pending(&sim));
+        done += sim.with(|w, _| w.drain_completed()).len();
+        if done == started && started < N {
+            start(&mut sim);
+            started += 1;
+            peak = peak.max(pending(&sim));
+        }
+    }
+    assert_eq!(done, N);
+    let slots = sim.app().actions.len();
+    assert!(
+        slots <= peak,
+        "{slots} action slots for {peak} pending timers"
+    );
+    assert!(peak < N / 2, "deadlines of {peak} queries overlapped");
+}

@@ -734,7 +734,7 @@ mod tests {
         let mut p = PopularityProcess::new(1_000, model, Rng::from_seed_and_name(4, "pop"));
         let mut r = rng();
         // Inside the window: the flash item takes ~90% of draws.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = crate::hash::DetHashMap::default();
         for i in 0..5_000u64 {
             let t = SimTime::from_millis(100_000 + i * 10);
             *counts.entry(p.sample(t, &mut r)).or_insert(0u32) += 1;

@@ -9,6 +9,10 @@
 //!   FIFO ordering for simultaneous events (ties are broken by insertion
 //!   sequence, never by payload contents); [`HeapQueue`] keeps the
 //!   original binary-heap engine as the equivalence-suite reference.
+//!   [`LazyTimer`] re-arms a timer under a reserved queue key without
+//!   queueing an event per re-arm.
+//! * [`hash`] — `DetHashMap`/`DetHashSet`, the deterministic fast
+//!   hasher every simulator map uses.
 //! * [`rng`] — a small, self-contained xoshiro256++ PRNG with *named
 //!   streams*: every stochastic component derives its own independent
 //!   stream from the experiment seed, so adding a component never perturbs
@@ -32,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dist;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod smallvec;
@@ -39,7 +44,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use dist::{Dist, Sampler};
-pub use queue::{EventQueue, HeapQueue};
+pub use queue::{EventQueue, HeapQueue, LazyTimer, TimerPop};
 pub use rng::Rng;
 pub use smallvec::SmallVec;
 pub use telemetry::{MetricsRegistry, METRICS_TSV_HEADER};

@@ -66,6 +66,22 @@
 //! which is a total order — the heap and the wheel are therefore
 //! byte-equivalent, which `tests/scheduler.rs` proves by property
 //! testing.
+//!
+//! # Reserved keys and lazy timers
+//!
+//! An event's key is `(time, seq)`. [`EventQueue::schedule_at`] takes
+//! the next seq itself; [`EventQueue::reserve_seq`] hands one out
+//! without scheduling anything, and [`EventQueue::schedule_keyed`]
+//! inserts under a reserved seq later — as long as the key still lies
+//! after the last popped one, the event pops exactly where an event
+//! scheduled at reservation time would have. Neither engine assumes
+//! seqs arrive in order: the heap compares keys, and the wheel sorts
+//! each drained bucket (and sorted-inserts late arrivals) by key.
+//!
+//! [`LazyTimer`] builds on that: a timer that is re-armed far more often
+//! than it fires (TCP's retransmission and delayed-ACK timers) reserves
+//! a seq per arm but keeps at most one event queued, re-inserting it
+//! under the live deadline's key when it pops early.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -155,6 +171,9 @@ pub struct EventQueue<E> {
     overflow_promotions: u64,
     horizon_demotions: u64,
     max_drain_batch: usize,
+    /// Seq of the last popped event: with `now`, the key every new
+    /// schedule must lie after.
+    last_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -184,6 +203,7 @@ impl<E> EventQueue<E> {
             overflow_promotions: 0,
             horizon_demotions: 0,
             max_drain_batch: 0,
+            last_seq: 0,
         }
     }
 
@@ -257,10 +277,35 @@ impl<E> EventQueue<E> {
     /// Debug-panics if `at` is in the past; clamps to `now` (and counts
     /// the clamp) in release.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_keyed(at, seq, payload);
+    }
+
+    /// Takes the next insertion seq without scheduling anything. An
+    /// event later scheduled under it with [`EventQueue::schedule_keyed`]
+    /// orders among simultaneous events as if it had been scheduled now.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` under the key `(at, seq)`, where `seq` came
+    /// from [`EventQueue::reserve_seq`] and was not used before.
+    ///
+    /// The key must lie after the last popped event's; an `at` in the
+    /// past debug-panics and is clamped to `now` (and counted) in
+    /// release, like [`EventQueue::schedule_at`].
+    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
             self.now
+        );
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        debug_assert!(
+            at > self.now || self.popped == 0 || seq > self.last_seq,
+            "key ({at:?}, {seq}) is not after the last popped key"
         );
         let at = if at < self.now {
             self.past_clamps += 1;
@@ -268,8 +313,6 @@ impl<E> EventQueue<E> {
         } else {
             at
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(payload);
@@ -305,6 +348,7 @@ impl<E> EventQueue<E> {
         let entry = self.ready.pop()?;
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
+        self.last_seq = entry.seq;
         self.popped += 1;
         self.pending -= 1;
         let payload = self.slab[entry.idx as usize]
@@ -612,14 +656,26 @@ impl<E> HeapQueue<E> {
 
     /// Schedules `payload` at the absolute instant `at`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_keyed(at, seq, payload);
+    }
+
+    /// Takes the next insertion seq without scheduling anything.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` under the reserved key `(at, seq)`.
+    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         let at = if at < self.now { self.now } else { at };
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(payload);
@@ -661,6 +717,112 @@ impl<E> HeapQueue<E> {
         self.heap.clear();
         self.slab.clear();
         self.free.clear();
+    }
+}
+
+/// What a popped [`LazyTimer`] event means; see [`LazyTimer::on_pop`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimerPop {
+    /// The event sits at the live deadline: run the timer's handler.
+    Fire,
+    /// The deadline moved later while the event waited: queue it again
+    /// under this key (the deadline's reserved seq).
+    Requeue(SimTime, u64),
+    /// Nothing to do: the timer was disarmed, or the event was
+    /// superseded by an earlier one.
+    Stale,
+}
+
+/// A re-armable timer that costs one queued event per deadline instead
+/// of one per re-arm.
+///
+/// A TCP retransmission timer is re-armed on nearly every ACK and fires
+/// rarely; scheduling an event per arm leaves the queue full of dead
+/// events that pop only to be discarded. A `LazyTimer` keeps two keys:
+/// the live **deadline** `(time, seq)` — its seq reserved with
+/// [`EventQueue::reserve_seq`] at arm time, exactly the seq an eager
+/// schedule would have taken — and the key of the one event it has
+/// **queued**.
+///
+/// * [`LazyTimer::arm`] records the deadline and asks the owner to queue
+///   an event only when none is queued at or before it.
+/// * [`LazyTimer::on_pop`] sorts a popped event: one that is no longer
+///   the queued event is stale, one whose deadline moved later is
+///   re-queued under the deadline's key, and one whose key equals the
+///   deadline fires.
+///
+/// So a timer fires at exactly the `(time, seq)` an eagerly scheduled
+/// event would pop at, and every other event keeps its seq: swapping
+/// eager timers for lazy ones leaves every trajectory unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LazyTimer {
+    /// The live deadline's key; seq [`NO_KEY`] while disarmed.
+    deadline: (SimTime, u64),
+    /// The queued event's key; seq [`NO_KEY`] while none is queued.
+    queued: (SimTime, u64),
+}
+
+/// The seq a [`LazyTimer`] key holds when absent. No queue reserves it:
+/// that would take 2^64 schedules. (A sentinel rather than an `Option`
+/// keeps the timer at four words; every TCP endpoint holds two.)
+const NO_KEY: u64 = u64::MAX;
+
+impl Default for LazyTimer {
+    fn default() -> Self {
+        LazyTimer {
+            deadline: (SimTime::ZERO, NO_KEY),
+            queued: (SimTime::ZERO, NO_KEY),
+        }
+    }
+}
+
+impl LazyTimer {
+    /// True from an arm until the next disarm. Firing leaves the timer
+    /// armed at its (now past) deadline: the handler decides whether to
+    /// re-arm or disarm.
+    pub fn is_armed(&self) -> bool {
+        self.deadline.1 != NO_KEY
+    }
+
+    /// Arms (or re-arms) the timer for the key `(at, seq)`, `seq` fresh
+    /// from [`EventQueue::reserve_seq`]. Returns true when the owner must
+    /// queue the timer's event under that key; false when an event
+    /// already queued at or before it will carry the deadline forward.
+    pub fn arm(&mut self, at: SimTime, seq: u64) -> bool {
+        let key = (at, seq);
+        self.deadline = key;
+        if self.queued.1 != NO_KEY && self.queued <= key {
+            return false;
+        }
+        // Nothing queued, or only a later event: queue one here. A later
+        // event left in the queue pops as stale.
+        self.queued = key;
+        true
+    }
+
+    /// Disarms the timer. A queued event stays queued and pops as stale
+    /// (or carries a later re-arm's deadline forward).
+    pub fn disarm(&mut self) {
+        self.deadline.1 = NO_KEY;
+    }
+
+    /// Sorts the popped timer event queued under seq `seq`.
+    pub fn on_pop(&mut self, seq: u64) -> TimerPop {
+        if seq != self.queued.1 {
+            return TimerPop::Stale;
+        }
+        let key = self.queued;
+        self.queued.1 = NO_KEY;
+        let d = self.deadline;
+        if d == key {
+            TimerPop::Fire
+        } else if d.1 == NO_KEY {
+            TimerPop::Stale
+        } else {
+            debug_assert!(d > key, "deadline {d:?} is before its queued event {key:?}");
+            self.queued = d;
+            TimerPop::Requeue(d.0, d.1)
+        }
     }
 }
 

@@ -11,6 +11,7 @@ use crate::cubic::CubicState;
 use crate::opts::{CongAlgo, TcpOptions};
 use crate::segment::{Marker, MetaSpan, SpanVec};
 use simcore::time::{SimDuration, SimTime};
+use simcore::LazyTimer;
 use std::collections::BTreeMap;
 
 /// Loss-recovery counters of one endpoint — exposed for the loss
@@ -137,10 +138,8 @@ pub struct Endpoint {
     pub rttvar_ms: f64,
     /// Current retransmission timeout.
     pub rto: SimDuration,
-    /// Timer generation counter (invalidates stale timer events).
-    pub rto_gen: u64,
-    /// Whether an RTO timer is outstanding.
-    pub rto_armed: bool,
+    /// The retransmission timer (armed while an RTO is outstanding).
+    pub rto_timer: LazyTimer,
     /// In-flight RTT probe: `(seq_end, sent_at)`; cleared on any
     /// retransmission (Karn's algorithm).
     pub rtt_probe: Option<(u64, SimTime)>,
@@ -158,10 +157,8 @@ pub struct Endpoint {
     pub rcv_nxt: u64,
     /// Out-of-order reassembly buffer keyed by sequence number.
     pub ooo: BTreeMap<u64, OooSeg>,
-    /// Whether a delayed ACK is pending.
-    pub delack_armed: bool,
-    /// Delayed-ACK timer generation.
-    pub delack_gen: u64,
+    /// The delayed-ACK timer (armed while a delayed ACK is pending).
+    pub delack_timer: LazyTimer,
     /// Peer's FIN sequence (once seen).
     pub peer_fin_seq: Option<u64>,
     /// The peer FIN has been consumed (rcv_nxt advanced past it).
@@ -195,8 +192,7 @@ impl Endpoint {
             srtt_ms: None,
             rttvar_ms: 0.0,
             rto,
-            rto_gen: 0,
-            rto_armed: false,
+            rto_timer: LazyTimer::default(),
             rtt_probe: None,
             last_send: SimTime::ZERO,
             fin_pending: false,
@@ -204,8 +200,7 @@ impl Endpoint {
             syn_sent_count: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            delack_armed: false,
-            delack_gen: 0,
+            delack_timer: LazyTimer::default(),
             peer_fin_seq: None,
             peer_fin_rcvd: false,
             cubic: CubicState::default(),
@@ -552,7 +547,7 @@ impl Endpoint {
             || self.peer_fin_rcvd
             || filled_gap
             || !self.ooo.is_empty()
-            || self.delack_armed
+            || self.delack_timer.is_armed()
         {
             AckPolicy::Immediate
         } else {
@@ -766,7 +761,7 @@ mod tests {
         };
         let (_, p1) = e.accept(0, 1460, false, false, mk(0));
         assert_eq!(p1, AckPolicy::Delayed);
-        e.delack_armed = true; // net layer arms the timer
+        e.delack_timer.arm(SimTime::ZERO, 0); // net layer arms the timer
         let (_, p2) = e.accept(1460, 1460, false, false, mk(1460));
         assert_eq!(p2, AckPolicy::Immediate);
     }

@@ -13,7 +13,7 @@ use crate::opts::TcpOptions;
 use crate::segment::{Marker, MetaSpan, PktKind, Segment, SpanVec};
 use crate::trace::{PktDir, TraceLog};
 use simcore::dist::{Dist, Sampler};
-use simcore::queue::EventQueue;
+use simcore::queue::{EventQueue, LazyTimer, TimerPop};
 use simcore::rng::Rng;
 use simcore::telemetry::MetricsRegistry;
 use simcore::time::{SimDuration, SimTime};
@@ -242,11 +242,29 @@ pub trait App {
     }
 }
 
+/// An endpoint's two protocol timers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TimerKind {
+    Rto,
+    DelAck,
+}
+
 enum Ev {
-    Deliver { conn: ConnId, to: End, seg: Segment },
-    Rto { conn: ConnId, end: End, gen: u64 },
-    DelAck { conn: ConnId, end: End, gen: u64 },
-    AppTimer { token: u64 },
+    Deliver {
+        conn: ConnId,
+        to: End,
+        seg: Segment,
+    },
+    /// A [`LazyTimer`] event, queued under seq `seq`.
+    Timer {
+        conn: ConnId,
+        end: End,
+        kind: TimerKind,
+        seq: u64,
+    },
+    AppTimer {
+        token: u64,
+    },
 }
 
 enum Cb {
@@ -532,10 +550,8 @@ impl Net {
         let c = &mut self.conns[conn.0 as usize];
         c.aborted = true;
         for i in 0..2 {
-            c.ep[i].rto_gen += 1;
-            c.ep[i].rto_armed = false;
-            c.ep[i].delack_gen += 1;
-            c.ep[i].delack_armed = false;
+            c.ep[i].rto_timer.disarm();
+            c.ep[i].delack_timer.disarm();
             c.fin_cb_fired[i] = true;
         }
     }
@@ -643,27 +659,56 @@ impl Net {
         );
     }
 
-    fn arm_rto(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
-        let ep = &mut c.ep[end.idx()];
-        ep.rto_gen += 1;
-        ep.rto_armed = true;
-        let gen = ep.rto_gen;
-        let rto = ep.rto;
-        self.q.schedule_in(
-            rto,
-            Ev::Rto {
-                conn: cid,
-                end,
-                gen,
+    fn timer_mut(&mut self, cid: ConnId, end: End, kind: TimerKind) -> &mut LazyTimer {
+        let ep = &mut self.conns[cid.0 as usize].ep[end.idx()];
+        match kind {
+            TimerKind::Rto => &mut ep.rto_timer,
+            TimerKind::DelAck => &mut ep.delack_timer,
+        }
+    }
+
+    /// (Re-)arms one endpoint timer `delay` from now. The deadline takes
+    /// a fresh queue seq either way; an event is queued only when the
+    /// timer has none queued at or before the deadline (see
+    /// [`LazyTimer`]).
+    fn arm_timer(&mut self, cid: ConnId, end: End, kind: TimerKind, delay: SimDuration) {
+        let at = self.now() + delay;
+        let seq = self.q.reserve_seq();
+        if self.timer_mut(cid, end, kind).arm(at, seq) {
+            self.queue_timer(cid, end, kind, at, seq);
+        }
+    }
+
+    fn queue_timer(&mut self, conn: ConnId, end: End, kind: TimerKind, at: SimTime, seq: u64) {
+        let ev = Ev::Timer {
+            conn,
+            end,
+            kind,
+            seq,
+        };
+        self.q.schedule_keyed(at, seq, ev);
+    }
+
+    /// A timer event popped: fire the handler, carry a moved deadline
+    /// forward, or drop a stale event.
+    fn handle_timer(&mut self, cid: ConnId, end: End, kind: TimerKind, seq: u64) {
+        match self.timer_mut(cid, end, kind).on_pop(seq) {
+            TimerPop::Fire => match kind {
+                TimerKind::Rto => self.handle_rto(cid, end),
+                TimerKind::DelAck => self.handle_delack(cid, end),
             },
-        );
+            TimerPop::Requeue(at, seq) => self.queue_timer(cid, end, kind, at, seq),
+            TimerPop::Stale => {}
+        }
+    }
+
+    fn arm_rto(&mut self, cid: ConnId, end: End) {
+        let rto = self.conns[cid.0 as usize].ep[end.idx()].rto;
+        self.arm_timer(cid, end, TimerKind::Rto, rto);
     }
 
     fn cancel_rto(&mut self, cid: ConnId, end: End) {
-        let ep = &mut self.conns[cid.0 as usize].ep[end.idx()];
-        ep.rto_gen += 1;
-        ep.rto_armed = false;
+        self.conns[cid.0 as usize].ep[end.idx()].rto_timer.disarm();
     }
 
     /// Sends fresh data as the window allows; returns true if anything
@@ -708,9 +753,8 @@ impl Net {
                 };
                 // A data segment carries the ACK: cancel any pending
                 // delayed ACK.
-                ep.delack_armed = false;
-                ep.delack_gen += 1;
-                let need_arm = !ep.rto_armed;
+                ep.delack_timer.disarm();
+                let need_arm = !ep.rto_timer.is_armed();
                 self.transmit(cid, end, seg);
                 if need_arm {
                     self.arm_rto(cid, end);
@@ -728,9 +772,8 @@ impl Net {
                     wnd: ep.opts.rwnd,
                     meta: SpanVec::new(),
                 };
-                ep.delack_armed = false;
-                ep.delack_gen += 1;
-                let need_arm = !ep.rto_armed;
+                ep.delack_timer.disarm();
+                let need_arm = !ep.rto_timer.is_armed();
                 self.transmit(cid, end, seg);
                 if need_arm {
                     self.arm_rto(cid, end);
@@ -785,33 +828,20 @@ impl Net {
     }
 
     fn send_ack_now(&mut self, cid: ConnId, end: End) {
-        {
-            let ep = &mut self.conns[cid.0 as usize].ep[end.idx()];
-            ep.delack_armed = false;
-            ep.delack_gen += 1;
-        }
+        self.conns[cid.0 as usize].ep[end.idx()]
+            .delack_timer
+            .disarm();
         let ack = self.make_ctl(cid, end, PktKind::Ack);
         self.transmit(cid, end, ack);
     }
 
     fn arm_delack(&mut self, cid: ConnId, end: End) {
-        let c = &mut self.conns[cid.0 as usize];
-        let ep = &mut c.ep[end.idx()];
-        if ep.delack_armed {
+        let ep = &self.conns[cid.0 as usize].ep[end.idx()];
+        if ep.delack_timer.is_armed() {
             return;
         }
-        ep.delack_armed = true;
-        ep.delack_gen += 1;
-        let gen = ep.delack_gen;
         let dt = ep.opts.delack_timeout;
-        self.q.schedule_in(
-            dt,
-            Ev::DelAck {
-                conn: cid,
-                end,
-                gen,
-            },
-        );
+        self.arm_timer(cid, end, TimerKind::DelAck, dt);
     }
 
     fn establish(&mut self, cid: ConnId, end: End) {
@@ -905,7 +935,7 @@ impl Net {
                         AckReaction::Advance | AckReaction::PartialRetransmit
                     );
                     if flight == 0 {
-                        if ep.rto_armed {
+                        if ep.rto_timer.is_armed() {
                             self.cancel_rto(cid, to);
                         }
                     } else if advanced {
@@ -951,15 +981,13 @@ impl Net {
         }
     }
 
-    fn handle_rto(&mut self, cid: ConnId, end: End, gen: u64) {
-        let (stale, state) = {
-            let c = &self.conns[cid.0 as usize];
-            let ep = &c.ep[end.idx()];
-            (c.aborted || ep.rto_gen != gen || !ep.rto_armed, ep.state)
-        };
-        if stale {
+    /// The retransmission timer fired at its live deadline.
+    fn handle_rto(&mut self, cid: ConnId, end: End) {
+        let c = &self.conns[cid.0 as usize];
+        if c.aborted {
             return;
         }
+        let state = c.ep[end.idx()].state;
         match state {
             TcpState::SynSent => {
                 {
@@ -987,7 +1015,7 @@ impl Net {
             TcpState::Established | TcpState::Done => {
                 let flight = self.conns[cid.0 as usize].ep[end.idx()].in_flight();
                 if flight == 0 {
-                    self.conns[cid.0 as usize].ep[end.idx()].rto_armed = false;
+                    self.cancel_rto(cid, end);
                     return;
                 }
                 self.conns[cid.0 as usize].ep[end.idx()].on_rto_fire();
@@ -1000,13 +1028,9 @@ impl Net {
         }
     }
 
-    fn handle_delack(&mut self, cid: ConnId, end: End, gen: u64) {
-        let fire = {
-            let c = &self.conns[cid.0 as usize];
-            let ep = &c.ep[end.idx()];
-            !c.aborted && ep.delack_armed && ep.delack_gen == gen
-        };
-        if fire {
+    /// The delayed-ACK timer fired at its live deadline.
+    fn handle_delack(&mut self, cid: ConnId, end: End) {
+        if !self.conns[cid.0 as usize].aborted {
             self.send_ack_now(cid, end);
         }
     }
@@ -1086,8 +1110,12 @@ impl<A: App> Sim<A> {
             let (_, ev) = self.net.q.pop().unwrap();
             match ev {
                 Ev::Deliver { conn, to, seg } => self.net.handle_deliver(conn, to, seg),
-                Ev::Rto { conn, end, gen } => self.net.handle_rto(conn, end, gen),
-                Ev::DelAck { conn, end, gen } => self.net.handle_delack(conn, end, gen),
+                Ev::Timer {
+                    conn,
+                    end,
+                    kind,
+                    seq,
+                } => self.net.handle_timer(conn, end, kind, seq),
                 Ev::AppTimer { token } => self.net.cbs.push_back(Cb::Timer { token }),
             }
             self.drain_callbacks();
@@ -1757,5 +1785,127 @@ mod tests {
         let t1 = app.done.iter().find(|(c, _)| *c == c1).unwrap().1;
         let t2 = app.done.iter().find(|(c, _)| *c == c2).unwrap().1;
         assert!(t1 < t2, "short-RTT conn must finish first");
+    }
+
+    #[test]
+    fn blackholed_syn_retransmits_at_one_three_and_seven_seconds() {
+        // Every SYN into the outage is lost; the handshake timer starts
+        // at the 1 s initial RTO and doubles per timeout, so the
+        // retransmissions leave at exactly 1 s, 3 s and 7 s, and the
+        // 15 s one gets through once the outage ends.
+        let mut sim = Sim::new(42, Echoish::new(400, 1_000));
+        sim.net()
+            .trace_mut()
+            .set_capture(crate::trace::Capture::All);
+        sim.net().add_link_fault(LinkFault::link_outage(
+            NodeId(1),
+            NodeId(2),
+            SimTime::ZERO,
+            SimTime::from_millis(7_500),
+        ));
+        sim.net().open(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(50.0),
+            TcpOptions::default(),
+            TcpOptions::default(),
+            1,
+        );
+        sim.run();
+        let syns: Vec<SimTime> = sim
+            .net()
+            .trace_mut()
+            .take_session(1)
+            .iter()
+            .filter(|e| e.node == NodeId(1) && e.dir == PktDir::Tx && e.kind == PktKind::Syn)
+            .map(|e| e.t)
+            .collect();
+        let secs = |s: u64| SimTime::from_secs(s);
+        assert_eq!(syns, vec![secs(0), secs(1), secs(3), secs(7), secs(15)]);
+        assert_eq!(
+            sim.into_app().got,
+            1_000,
+            "the handshake completes after the outage"
+        );
+    }
+
+    /// Opens a connection whose client sends `bytes` once established
+    /// and whose server only receives, capturing every packet.
+    fn run_upload(bytes: u64, opts_a: TcpOptions, rtt_ms: f64) -> Sim<impl App> {
+        struct Upload(u64);
+        impl App for Upload {
+            fn on_established(&mut self, net: &mut Net, conn: ConnId, end: End) {
+                if end == End::A {
+                    net.send(conn, End::A, self.0, Marker::Request, 1);
+                }
+            }
+            fn on_data(&mut self, _: &mut Net, _: ConnId, _: End, _: &[DeliveredSpan]) {}
+        }
+        let mut sim = Sim::new(42, Upload(bytes));
+        sim.net()
+            .trace_mut()
+            .set_capture(crate::trace::Capture::All);
+        sim.net().open(
+            NodeId(1),
+            NodeId(2),
+            PathParams::ideal(rtt_ms),
+            opts_a,
+            TcpOptions::default(),
+            1,
+        );
+        sim.run();
+        sim
+    }
+
+    #[test]
+    fn lone_data_segment_is_acked_one_delack_timeout_later() {
+        // A one-segment initial window sends the first of two segments
+        // alone and without PSH: the receiver holds its ACK for exactly
+        // the delayed-ACK timeout.
+        let mut sim = run_upload(2 * 1460, TcpOptions::default().with_initial_window(1), 80.0);
+        let events = sim.net().trace_mut().take_session(1);
+        let at_server = |dir: PktDir| {
+            events
+                .iter()
+                .filter(move |e| e.node == NodeId(2) && e.dir == dir)
+        };
+        let seg = at_server(PktDir::Rx)
+            .find(|e| e.kind == PktKind::Data)
+            .expect("the first segment arrives");
+        assert_eq!((seg.seq, seg.push), (0, false));
+        let ack = at_server(PktDir::Tx)
+            .find(|e| e.kind == PktKind::Ack && e.ack > 0)
+            .expect("the segment is acknowledged");
+        assert_eq!(ack.ack, 1460);
+        assert_eq!(
+            ack.t.saturating_since(seg.t),
+            TcpOptions::default().delack_timeout
+        );
+    }
+
+    #[test]
+    fn bulk_transfer_timer_pops_scale_with_round_trips_not_acks() {
+        // Each ACK of a bulk transfer re-arms the sender's retransmission
+        // timer and every other segment arms the receiver's delayed-ACK
+        // timer. Those re-arms must not each cost a queue pop: every pop
+        // that is not a packet delivery is a timer event, and a lazy
+        // timer pops at most once per timeout period.
+        let rtt_ms = 50.0;
+        let mut sim = run_upload(1_000_000, TcpOptions::default(), rtt_ms);
+        let pops = sim.net().events_processed();
+        let events = sim.net().trace_mut().take_session(1);
+        let deliveries = events.iter().filter(|e| e.dir == PktDir::Rx).count() as u64;
+        let acks = events
+            .iter()
+            .filter(|e| e.node == NodeId(2) && e.dir == PktDir::Tx && e.kind == PktKind::Ack)
+            .count() as u64;
+        let duration_ms = events.last().unwrap().t.as_millis_f64();
+        let round_trips = (duration_ms / rtt_ms).ceil() as u64;
+        let timer_pops = pops - deliveries;
+        assert!(acks > 300, "a 1 MB transfer is acknowledged {acks} times");
+        assert!(
+            timer_pops <= 4 * round_trips,
+            "{timer_pops} timer pops over {round_trips} round trips ({acks} ACKs)"
+        );
     }
 }

@@ -12,9 +12,8 @@
 
 use crate::net::{ConnId, NodeId};
 use crate::segment::{PktKind, Segment, SpanVec};
+use simcore::hash::DetHashMap;
 use simcore::time::SimTime;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Direction of a packet event relative to the observing node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,36 +51,6 @@ pub struct PktEvent {
     pub push: bool,
     /// Content spans (payload labelling).
     pub meta: SpanVec,
-}
-
-/// A multiply-shift hasher for the session-id index. Session ids are
-/// small sequential integers; SipHash (the `HashMap` default, keyed for
-/// HashDoS resistance) costs more than the rest of the record path for
-/// such keys. This hasher is deterministic, which also keeps the trace
-/// store free of per-process randomness.
-#[derive(Default)]
-struct SessionHasher(u64);
-
-impl Hasher for SessionHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; this path exists to satisfy the
-        // trait.
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // splitmix64-style finalizer: full avalanche on 64 bits.
-        let mut z = self.0 ^ n.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Where packets are captured: which observing nodes a [`TraceLog`]
@@ -135,7 +104,7 @@ struct Bucket {
 #[derive(Debug, Default)]
 pub struct TraceLog {
     capture: Capture,
-    index: HashMap<u64, usize, BuildHasherDefault<SessionHasher>>,
+    index: DetHashMap<u64, usize>,
     buckets: Vec<Bucket>,
     free: Vec<usize>,
     /// Arena slot of the most recently recorded session (cache hint;

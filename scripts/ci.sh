@@ -24,7 +24,7 @@ echo "==> scheduler equivalence suite (timing wheel vs heap) at FECDN_THREADS=1 
 FECDN_THREADS=1 cargo test -q --offline --test scheduler
 FECDN_THREADS=4 cargo test -q --offline --test scheduler
 
-echo "==> source hygiene: no wall clock or native sockets in simulator crates"
+echo "==> source hygiene: no wall clock, native sockets or randomly seeded hash maps in simulator crates"
 # Everything in simcore/tcpsim/cdnsim must run on virtual time over
 # simulated sockets; the only sanctioned wall-clock seam is the
 # telemetry registry's observe-only wall spans (explicitly classed
@@ -36,6 +36,16 @@ if grep -rn -E 'std::net::|std::thread::sleep|Instant::now' \
   exit 1
 fi
 echo "    simulator crates are wall-clock- and socket-free"
+# A default-hashed map seeds SipHash from per-process randomness: its
+# iteration order differs run to run, and SipHash is slow on the
+# per-segment lookups. Simulator maps use simcore::hash::DetHashMap.
+if grep -rn -E '(^|[^A-Za-z0-9_])Hash(Map|Set)::(new|default|with_capacity)\(' \
+    crates/simcore/src crates/tcpsim/src crates/cdnsim/src \
+    | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then
+  echo "randomly seeded HashMap/HashSet in simulator crate code (use simcore::hash::DetHashMap/DetHashSet)" >&2
+  exit 1
+fi
+echo "    simulator crates hash deterministically"
 
 echo "==> mapping-strategy conformance suite at FECDN_THREADS=1 and 4"
 FECDN_THREADS=1 cargo test -q --offline --test mapping

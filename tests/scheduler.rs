@@ -8,11 +8,14 @@
 //! of `schedule_at` / `schedule_in` / `pop` — including simultaneous
 //! timestamps (FIFO tie-break), bucket-boundary timestamps, far-future
 //! outliers (overflow parking + promotion), and spreads wide enough to
-//! force multi-level cascades at wheel rollover.
+//! force multi-level cascades at wheel rollover. Keys may also be
+//! reserved with `reserve_seq` and scheduled later with
+//! `schedule_keyed`, the mechanism behind `LazyTimer`; the lazy timer
+//! itself is checked against an eagerly scheduled one.
 
 use proptest::prelude::*;
 use simcore::time::{SimDuration, SimTime};
-use simcore::{EventQueue, HeapQueue};
+use simcore::{EventQueue, HeapQueue, LazyTimer, TimerPop};
 
 /// Schedules the same payload at the same instant into both engines.
 fn sched_at(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>, t: SimTime, id: u64) {
@@ -134,6 +137,229 @@ proptest! {
             }
         }
         drain_both(&mut wheel, &mut heap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reserved seqs scheduled later, possibly many pops later and at
+    /// the current instant, pop at the same place in both engines. Every
+    /// payload is its own seq, so the last popped key is known and each
+    /// keyed schedule stays after it, as the queue contract requires.
+    #[test]
+    fn reserved_keys_scheduled_later_match_heap(
+        ops in prop::collection::vec((0u64..6, 0u64..u64::MAX), 1..300)
+    ) {
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut last_popped: Option<u64> = None;
+        for &(kind, raw) in &ops {
+            match kind {
+                0 | 1 => {
+                    let a = wheel.pop();
+                    prop_assert_eq!(a, heap.pop());
+                    if let Some((_, seq)) = a {
+                        last_popped = Some(seq);
+                    }
+                }
+                // Plain schedule: takes the next seq in both engines.
+                2 => {
+                    let d = SimDuration::from_nanos(raw % 300_000_000);
+                    let seq = wheel.reserve_seq();
+                    prop_assert_eq!(seq, heap.reserve_seq());
+                    let at = wheel.now() + d;
+                    wheel.schedule_keyed(at, seq, seq);
+                    heap.schedule_keyed(at, seq, seq);
+                }
+                // Reserve a seq now, schedule it later.
+                3 => {
+                    let seq = wheel.reserve_seq();
+                    prop_assert_eq!(seq, heap.reserve_seq());
+                    reserved.push(seq);
+                }
+                // Schedule a reserved seq: at the current instant when
+                // its key is still after the last pop, else later.
+                _ if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove((raw % reserved.len() as u64) as usize);
+                    let now_ok = last_popped.is_none_or(|l| seq > l);
+                    let ns = match raw % 4 {
+                        0 if now_ok => 0,
+                        0 | 1 => 1 + raw % 2_100_000,
+                        2 => raw % 400_000_000,
+                        _ => raw % 20_000_000_000,
+                    };
+                    let at = wheel.now() + SimDuration::from_nanos(ns);
+                    wheel.schedule_keyed(at, seq, seq);
+                    heap.schedule_keyed(at, seq, seq);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(wheel.now(), heap.now());
+        }
+        drain_both(&mut wheel, &mut heap);
+    }
+
+    /// A `LazyTimer` fires at exactly the instants and in exactly the
+    /// order an eagerly scheduled, generation-checked timer does, under
+    /// random re-arms (later and earlier), disarms and background
+    /// traffic — and never pops more events.
+    #[test]
+    fn lazy_timers_fire_where_eager_timers_do(
+        ops in prop::collection::vec((0u64..4, 0u64..4, 0u64..u64::MAX), 1..200)
+    ) {
+        let eager = run_timer_script(&ops, false);
+        let lazy = run_timer_script(&ops, true);
+        prop_assert_eq!(&lazy.log, &eager.log);
+        prop_assert!(lazy.pops <= eager.pops, "lazy {} > eager {} pops", lazy.pops, eager.pops);
+    }
+}
+
+/// A fixed timer script exercises every `TimerPop` branch: timers fire,
+/// and the lazy run pops strictly fewer events than the eager one.
+#[test]
+fn lazy_timer_script_fires_and_saves_pops() {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let ops: Vec<(u64, u64, u64)> = (0..400)
+        .map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            (r % 4, (r >> 8) % 4, r >> 16)
+        })
+        .collect();
+    let eager = run_timer_script(&ops, false);
+    let lazy = run_timer_script(&ops, true);
+    assert_eq!(lazy.log, eager.log);
+    let fires = lazy
+        .log
+        .iter()
+        .filter(|(_, w)| w.starts_with("timer"))
+        .count();
+    assert!(fires >= 10, "only {fires} timer firings");
+    assert!(
+        lazy.pops < eager.pops,
+        "lazy {} vs eager {} pops",
+        lazy.pops,
+        eager.pops
+    );
+}
+
+/// Queue payload of the timer script: background work item `i`, or an
+/// event of timer `k` (eager: carrying its generation; lazy: its seq).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ev {
+    Work(usize),
+    Timer(usize, u64),
+}
+
+/// What a timer script observed: `(time, what)` for every work item and
+/// every timer firing, and how many events the queue popped.
+struct ScriptRun {
+    log: Vec<(SimTime, String)>,
+    pops: u64,
+}
+
+/// Four timers, lazy or eager. An eager timer schedules an event per
+/// arm and discards superseded ones by a generation check.
+struct Timers {
+    lazy: bool,
+    lazies: [LazyTimer; 4],
+    /// Eager: (generation, armed) per timer.
+    gens: [(u64, bool); 4],
+}
+
+impl Timers {
+    fn arm(&mut self, q: &mut EventQueue<Ev>, k: usize, delay: SimDuration) {
+        let at = q.now() + delay;
+        if self.lazy {
+            let seq = q.reserve_seq();
+            if self.lazies[k].arm(at, seq) {
+                q.schedule_keyed(at, seq, Ev::Timer(k, seq));
+            }
+        } else {
+            self.gens[k] = (self.gens[k].0 + 1, true);
+            q.schedule_at(at, Ev::Timer(k, self.gens[k].0));
+        }
+    }
+
+    fn disarm(&mut self, k: usize) {
+        self.lazies[k].disarm();
+        self.gens[k].1 = false;
+    }
+
+    /// True when the popped event of timer `k` fires it.
+    fn on_pop(&mut self, q: &mut EventQueue<Ev>, k: usize, tag: u64) -> bool {
+        if !self.lazy {
+            return self.gens[k] == (tag, true);
+        }
+        match self.lazies[k].on_pop(tag) {
+            TimerPop::Fire => true,
+            TimerPop::Requeue(at, seq) => {
+                q.schedule_keyed(at, seq, Ev::Timer(k, seq));
+                false
+            }
+            TimerPop::Stale => false,
+        }
+    }
+}
+
+/// Replays `ops` over four timers. Each op becomes a work item spaced
+/// 0–3 ms apart; when it pops, it arms (with a delay from
+/// sub-millisecond to ~1 s), disarms or leaves alone timer `k`. Every
+/// third logged firing re-arms its timer 5 ms out; the others disarm
+/// it.
+fn run_timer_script(ops: &[(u64, u64, u64)], lazy: bool) -> ScriptRun {
+    let mut q: EventQueue<Ev> = EventQueue::new();
+    let mut timers = Timers {
+        lazy,
+        lazies: [LazyTimer::default(); 4],
+        gens: [(0, false); 4],
+    };
+    let mut at = SimTime::ZERO;
+    for (i, &(_, _, raw)) in ops.iter().enumerate() {
+        at += SimDuration::from_micros(raw % 3_000);
+        q.schedule_at(at, Ev::Work(i));
+    }
+    let mut log = Vec::new();
+    while let Some((t, ev)) = q.pop() {
+        match ev {
+            Ev::Work(i) => {
+                let (op, k, raw) = ops[i];
+                let k = k as usize;
+                log.push((t, format!("work {i}")));
+                match op {
+                    0 | 1 => {
+                        let delay = SimDuration::from_nanos(match raw % 3 {
+                            0 => raw % 1_000_000,
+                            1 => 200_000_000 + raw % 800_000_000,
+                            _ => raw % 40_000_000,
+                        });
+                        timers.arm(&mut q, k, delay);
+                    }
+                    2 => timers.disarm(k),
+                    _ => {}
+                }
+            }
+            Ev::Timer(k, tag) => {
+                if timers.on_pop(&mut q, k, tag) {
+                    log.push((t, format!("timer {k}")));
+                    if log.len() % 3 == 0 {
+                        timers.arm(&mut q, k, SimDuration::from_millis(5));
+                    } else {
+                        timers.disarm(k);
+                    }
+                }
+            }
+        }
+    }
+    ScriptRun {
+        log,
+        pops: q.events_processed(),
     }
 }
 
