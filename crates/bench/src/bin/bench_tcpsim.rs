@@ -17,13 +17,15 @@
 //! wall-clock is kept (minimum is the right estimator for a
 //! deterministic computation on a noisy machine). A fixed host-speed
 //! kernel is timed just before and just after those cells, and the
-//! totals are also reported in events per *reference second* (see
+//! totals are also reported in events and recorded packets per
+//! *reference second* (see
 //! [`REF_KERNEL_S`]), so a host that runs slow for the whole
 //! measurement slows both alike and cancels. Results go to stdout as a
 //! human summary and to `BENCH_tcpsim.json` in the working directory;
-//! `scripts/ci.sh` runs the `--smoke` mode and compares the
-//! reference-second throughput against the committed
-//! `BENCH_tcpsim.baseline.json`.
+//! `scripts/ci.sh` runs the `--smoke` mode and compares the traced
+//! recorded packets per reference second against the committed
+//! `BENCH_tcpsim.baseline.json`: packets are the work a cell does,
+//! while its event count falls whenever a change saves queue pops.
 //!
 //! Usage: `bench_tcpsim [--smoke] [--out PATH]`
 
@@ -454,12 +456,13 @@ fn main() {
     );
     eprintln!(
         "reference kernel {:.4} s before, {:.4} s after ({:.2}x the reference host): \
-         tracing=off {:.0} | tracing=on {:.0} events per reference second",
+         tracing=off {:.0} | tracing=on {:.0} events, {:.0} recorded pkts per reference second",
         ref_before,
         ref_after,
         host_scale,
         eps_off * host_scale,
         eps_on * host_scale,
+        rps_on * host_scale,
     );
 
     // Telemetry overhead on the retransmission-heavy workload (the one
@@ -503,6 +506,7 @@ fn main() {
          \"recorded_pkts_per_sec\": {:.0},\n  \
          \"reference_kernel_s\": {:.4},\n  \
          \"events_per_ref_sec_tracing_off\": {:.0},\n  \"events_per_ref_sec_tracing_on\": {:.0},\n  \
+         \"recorded_pkts_per_ref_sec_tracing_on\": {:.0},\n  \
          \"events_per_sec_telemetry_off\": {:.0},\n  \"events_per_sec_telemetry_on\": {:.0},\n  \
          \"telemetry_overhead_pct\": {:.3},\n  \
          \"wheel_speedup_vs_heap\": {:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
@@ -514,6 +518,7 @@ fn main() {
         ref_s,
         eps_off * host_scale,
         eps_on * host_scale,
+        rps_on * host_scale,
         tel_eps_off,
         tel_eps_on,
         overhead_pct,

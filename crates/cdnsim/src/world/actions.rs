@@ -4,21 +4,6 @@
 
 use super::*;
 
-/// A BE's reply instant: what to stream back to the FE.
-pub(super) struct BeSend {
-    pub(super) conn: ConnId,
-    pub(super) plan: ResponsePlan,
-    pub(super) send_static_too: bool,
-}
-
-/// A complete response adopted as the query's result: what the FE now
-/// sends down the client connection.
-pub(super) struct ServedResponse {
-    pub(super) client_conn: ConnId,
-    pub(super) plan: ResponsePlan,
-    pub(super) static_from_cache: bool,
-}
-
 impl ServiceWorld {
     pub(super) fn push_action(&mut self, net: &mut Net, delay: SimDuration, action: Action) {
         // Token values only name table slots; they never order events.
@@ -173,34 +158,22 @@ impl ServiceWorld {
         net.close(client_conn, End::B);
     }
 
-    /// (b) Forward the query over a persistent BE connection: check one
-    /// out, take the BE in-flight slot, stamp the fetch start, and send
-    /// it as fetch attempt 0.
+    /// (b) Forward the query over a persistent BE connection as fetch
+    /// attempt 0, stamping the fetch start.
     pub(super) fn fetch_start(&mut self, net: &mut Net, qid: u64) {
         let (fe, be) = {
             let q = &self.queries[&qid];
             (q.fe.unwrap(), q.be)
         };
-        let be_conn = self.checkout_be_conn(net, fe, be, qid);
-        self.be_inflight[be] += 1;
-        if self.overload_active() {
-            self.metrics
-                .set_gauge("cdnsim.be_inflight_hiwater", self.be_inflight[be] as f64);
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be_conn = Some(be_conn);
-            q.be_counted = Some(be);
-            q.fetch_start = Some(net.now());
-        }
-        self.send_fetch(net, qid, be_conn, 0);
+        let conn = self.open_leg(net, qid, fe, be, Slot::Primary);
+        self.queries.get_mut(&qid).unwrap().fetch_start = Some(net.now());
+        self.send_fetch(net, qid, conn, 0);
     }
 
     /// Sends the BE query on `conn` as fetch attempt `attempt`, then
     /// arms that attempt's deadline and hedge timers, in that order.
     fn send_fetch(&mut self, net: &mut Net, qid: u64, conn: ConnId, attempt: u32) {
-        let req = self.queries[&qid].req.clone();
-        req.send_as_be_query(net, conn, End::A);
+        self.queries[&qid].req.send_as_be_query(net, conn, End::A);
         if let Some(d) = self.cfg.fe_fetch_deadline {
             self.push_action(net, d, Action::FetchDeadline { qid, attempt });
         }
@@ -209,44 +182,34 @@ impl ServiceWorld {
         }
     }
 
-    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        if let Some(b) = self.be_reply(qid, attempt) {
-            Self::send_be_response(net, &b);
-        }
-    }
-
-    /// Emit a [`BeSend`]: the (optional) piggy-backed static portion
-    /// followed by the dynamic response on the FE↔BE connection.
-    pub(super) fn send_be_response(net: &mut Net, b: &BeSend) {
-        if b.send_static_too {
+    /// The BE of leg `slot` finished processing: stream the
+    /// (optionally piggy-backed) static portion and the dynamic response
+    /// back to the FE. A reply for an earlier fetch attempt, or for a
+    /// leg that was cancelled or already won, is stale and sends nothing.
+    pub(super) fn act_be_reply(&mut self, net: &mut Net, qid: u64, attempt: u32, slot: Slot) {
+        let q = match self.queries.get_mut(&qid) {
+            Some(q) if q.fetch_attempts == attempt => q,
+            _ => return,
+        };
+        let static_too = !q.static_from_cache;
+        let (conn, plan) = match q.leg(slot) {
+            Some(FetchLeg {
+                conn,
+                plan: Some(plan),
+                ..
+            }) => (*conn, plan),
+            _ => return,
+        };
+        if static_too {
             net.send(
-                b.conn,
+                conn,
                 End::B,
-                b.plan.static_bytes,
+                plan.static_bytes,
                 Marker::BeResponse,
-                b.plan.static_content,
+                plan.static_content,
             );
         }
-        b.plan.send_as_be_response(net, b.conn, End::B);
-    }
-
-    /// Staleness check for the primary BE's reply instant. `None` means
-    /// the reply is stale (the query failed over, degraded, or is gone)
-    /// and nothing must be sent.
-    pub(super) fn be_reply(&mut self, qid: u64, attempt: u32) -> Option<BeSend> {
-        let q = self.queries.get(&qid)?;
-        // A reply from a BE the query has since failed away from
-        // (or a degraded query) is stale — drop it.
-        if q.fetch_attempts != attempt || q.degraded {
-            return None;
-        }
-        let conn = q.be_conn?;
-        let plan = q.plan.clone()?;
-        Some(BeSend {
-            conn,
-            plan,
-            send_static_too: !q.static_from_cache,
-        })
+        plan.send_as_be_response(net, conn, End::B);
     }
 
     /// The no-split BE finished processing: it replies straight down the
@@ -263,49 +226,38 @@ impl ServiceWorld {
         net.close(conn, End::B);
     }
 
-    pub(super) fn handle_be_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let served = self.response_complete(net, qid);
-        Self::send_served_response(net, &served);
-    }
-
-    /// Emit a [`ServedResponse`] on the client leg: static portion (when
-    /// it did not already burst from the FE cache), dynamic portion, FIN.
-    pub(super) fn send_served_response(net: &mut Net, s: &ServedResponse) {
-        if !s.static_from_cache {
-            s.plan.send_static(net, s.client_conn, End::B);
-        }
-        s.plan.send_dynamic(net, s.client_conn, End::B);
-        net.close(s.client_conn, End::B);
-    }
-
-    /// The state half of a completed primary fetch: release the BE
-    /// slot, cancel the losing hedge leg (aborting its connection),
-    /// feed the breaker, return the pooled connection, and refill the
-    /// FE caches. The client-leg sends belong to the caller; the cache
-    /// refills are state-only, so doing them before the sends leaves
-    /// the trajectory unchanged.
-    pub(super) fn response_complete(&mut self, net: &mut Net, qid: u64) -> ServedResponse {
-        let (fe, be, be_conn, client_conn, plan, kw_id, counted, static_from_cache) = {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.fetch_done = Some(net.now());
-            (
-                q.fe.unwrap(),
-                q.be,
-                q.be_conn.take().unwrap(),
-                q.client_conn,
-                q.plan.clone().unwrap(),
-                q.keyword,
-                q.be_counted.take(),
-                q.static_from_cache,
-            )
+    /// The FE holds the full BE response of leg `slot`: that leg wins.
+    /// Cancel the losing leg, return the winner's connection to the
+    /// pool, feed the breaker, adopt the winner's BE and result as the
+    /// query's ground truth, refill the FE caches, and serve the client:
+    /// the static portion (unless it already burst from the FE cache),
+    /// the dynamic portion, FIN.
+    fn complete_fetch(&mut self, net: &mut Net, qid: u64, slot: Slot) {
+        let q = self.queries.get_mut(&qid).unwrap();
+        q.fetch_done = Some(net.now());
+        let (won, lost) = match slot {
+            Slot::Primary => (q.fetch.take(), q.hedge.take()),
+            Slot::Hedge => (q.hedge.take(), q.fetch.take()),
         };
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
+        let mut won = won.unwrap();
+        let plan = won.plan.take().unwrap();
+        q.proc_ms = won.proc_ms;
+        q.plan = Some(plan.clone());
+        let (fe, kw_id, client_conn) = (q.fe.unwrap(), q.keyword, q.client_conn);
+        let static_from_cache = q.static_from_cache;
+        if let Some(leg) = lost {
+            self.drop_leg(net, leg, None);
         }
-        // The primary won the race: cancel any outstanding hedge.
-        self.cancel_hedge(net, qid);
+        let be = won.be;
+        self.drop_leg(net, won, Some(fe));
         self.breaker_record_success(fe);
-        self.return_be_conn(be_conn, fe, be);
+        if slot == Slot::Hedge {
+            // A hedge win moves the query to the hedge's site.
+            self.metrics.inc("cdnsim.hedge_wins");
+            let (rtt, dist) = (self.fe_be_rtt_ms(fe, be), self.fe_be_distance_miles(fe, be));
+            let q = self.queries.get_mut(&qid).unwrap();
+            (q.be, q.rtt_fe_be_ms, q.dist_fe_be_miles) = (be, rtt, dist);
+        }
         // Refill the static cache after a miss-path fetch (only reachable
         // with a bounded static cache).
         if self.cfg.cache_static && !static_from_cache {
@@ -319,38 +271,37 @@ impl ServiceWorld {
                     .add("cdnsim.fe_result_cache_evictions", out.evicted);
             }
         }
-        ServedResponse {
-            client_conn,
-            plan,
-            static_from_cache,
+        if !static_from_cache {
+            plan.send_static(net, client_conn, End::B);
         }
+        plan.send_dynamic(net, client_conn, End::B);
+        net.close(client_conn, End::B);
     }
 
     /// FE fetch deadline fired: the BE response for fetch attempt
-    /// `attempt` has not fully arrived. Fail over to the next live BE
-    /// site on a (possibly cold) connection, or degrade the response when
-    /// no live site remains.
+    /// `attempt` has not fully arrived. Cancel the attempt's legs, then
+    /// fail over to the next live BE site on a (possibly cold)
+    /// connection, or degrade the response when no live site remains.
     pub(super) fn act_fetch_deadline(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        let (fe, cur_be, stalled_conn) = match self.queries.get(&qid) {
+        let (fe, cur_be, stalled, hedge) = match self.queries.get_mut(&qid) {
             // Completed, degraded or already failed over: stale timer.
-            Some(q) if !q.resp_handled && !q.degraded && q.fetch_attempts == attempt => {
-                match q.fe {
-                    Some(fe) => (fe, q.be, q.be_conn),
-                    None => return,
+            Some(q) if q.fetch_attempts == attempt && q.fetch.is_some() => {
+                let stalled = q.fetch.take().unwrap();
+                // A BE that processed the query before stalling stays the
+                // ground truth until a later leg's BE replaces it.
+                if stalled.plan.is_some() {
+                    q.proc_ms = stalled.proc_ms;
                 }
+                (q.fe.unwrap(), q.be, stalled, q.hedge.take())
             }
             _ => return,
         };
-        if let Some(conn) = stalled_conn {
-            net.abort(conn);
-            self.conn_info.remove(&conn);
+        // The fetch attempt failed: cancel its legs and feed the FE's
+        // circuit breaker.
+        self.drop_leg(net, stalled, None);
+        if let Some(leg) = hedge {
+            self.drop_leg(net, leg, None);
         }
-        // The fetch attempt failed: release its BE slot, cancel its
-        // hedge leg, and feed the FE's circuit breaker.
-        if let Some(b) = self.queries.get_mut(&qid).and_then(|q| q.be_counted.take()) {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        self.cancel_hedge(net, qid);
         self.breaker_record_failure(fe, net.now());
         let now = net.now();
         let next_be = self.nearest_live_be(fe, now, Some(cur_be));
@@ -371,28 +322,12 @@ impl ServiceWorld {
             let q = self.queries.get_mut(&qid).unwrap();
             q.be = next_be;
             q.fetch_attempts += 1;
-            q.be_handled = false;
-            q.plan = None;
-            q.srv_progress = RecvProgress::new();
-            q.resp_progress = RecvProgress::new();
             q.rtt_fe_be_ms = rtt;
             q.dist_fe_be_miles = dist;
         }
         // Not `fetch_start`: a failover keeps the query's original
         // `fetch_start` stamp (fetch latency spans all attempts).
-        let conn = self.checkout_be_conn(net, fe, next_be, qid);
-        self.be_inflight[next_be] += 1;
-        if self.overload_active() {
-            self.metrics.set_gauge(
-                "cdnsim.be_inflight_hiwater",
-                self.be_inflight[next_be] as f64,
-            );
-        }
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be_conn = Some(conn);
-            q.be_counted = Some(next_be);
-        }
+        let conn = self.open_leg(net, qid, fe, next_be, Slot::Primary);
         self.send_fetch(net, qid, conn, attempt + 1);
     }
 
@@ -403,18 +338,8 @@ impl ServiceWorld {
         let (fe, cur_be) = match self.queries.get(&qid) {
             // Completed, degraded, failed over, or already hedged: the
             // timer is stale (hedges are per fetch attempt).
-            Some(q)
-                if !q.resp_handled
-                    && !q.degraded
-                    && !q.shed
-                    && q.fetch_attempts == attempt
-                    && q.hedge_conn.is_none()
-                    && q.be_conn.is_some() =>
-            {
-                match q.fe {
-                    Some(fe) => (fe, q.be),
-                    None => return,
-                }
+            Some(q) if q.fetch_attempts == attempt && q.fetch.is_some() && q.hedge.is_none() => {
+                (q.fe.unwrap(), q.be)
             }
             _ => return,
         };
@@ -424,129 +349,9 @@ impl ServiceWorld {
             None => return, // nowhere to hedge to
         };
         self.metrics.inc("cdnsim.hedges_launched");
-        let conn = self.checkout_be_conn_as(net, fe, hedge_be, qid, Leg::Hedge);
-        self.be_inflight[hedge_be] += 1;
-        if self.overload_active() {
-            self.metrics.set_gauge(
-                "cdnsim.be_inflight_hiwater",
-                self.be_inflight[hedge_be] as f64,
-            );
-        }
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.hedge_conn = Some(conn);
-        q.hedge_be = Some(hedge_be);
-        q.hedge_counted = Some(hedge_be);
-        let req = q.req.clone();
-        req.send_as_be_query(net, conn, End::A);
-    }
-
-    /// The hedge BE finished processing: stream its response to the FE
-    /// (mirror of [`Self::act_be_reply`] for the hedge leg).
-    pub(super) fn act_hedge_reply(&mut self, net: &mut Net, qid: u64, attempt: u32) {
-        let send = match self.queries.get(&qid) {
-            Some(q) if q.fetch_attempts == attempt && !q.degraded && !q.resp_handled => {
-                match (q.hedge_conn, q.hedge_plan.clone()) {
-                    (Some(conn), Some(plan)) => BeSend {
-                        conn,
-                        plan,
-                        send_static_too: !q.static_from_cache,
-                    },
-                    _ => return,
-                }
-            }
-            _ => return,
-        };
-        Self::send_be_response(net, &send);
-    }
-
-    /// The hedge response arrived at the FE before the primary: the
-    /// hedge wins. Adopt its result as the query's ground truth, abort
-    /// the losing primary fetch, refill the FE caches, and serve the
-    /// client.
-    pub(super) fn hedge_response_complete(&mut self, net: &mut Net, qid: u64) {
-        let (
-            fe,
-            hedge_be,
-            hedge_conn,
-            client_conn,
-            plan,
-            kw_id,
-            counted,
-            primary_conn,
-            primary_counted,
-            static_from_cache,
-        ) = {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.fetch_done = Some(net.now());
-            (
-                q.fe.unwrap(),
-                q.hedge_be.take().unwrap(),
-                q.hedge_conn.take().unwrap(),
-                q.client_conn,
-                q.hedge_plan.take().unwrap(),
-                q.keyword,
-                q.hedge_counted.take(),
-                q.be_conn.take(),
-                q.be_counted.take(),
-                q.static_from_cache,
-            )
-        };
-        self.metrics.inc("cdnsim.hedge_wins");
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        // Cancel the losing primary leg.
-        if let Some(c) = primary_conn {
-            net.abort(c);
-            self.conn_info.remove(&c);
-        }
-        if let Some(b) = primary_counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        self.breaker_record_success(fe);
-        self.return_be_conn(hedge_conn, fe, hedge_be);
-        let rtt = self.fe_be_rtt_ms(fe, hedge_be);
-        let dist = self.fe_be_distance_miles(fe, hedge_be);
-        {
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.be = hedge_be;
-            q.proc_ms = q.hedge_proc_ms;
-            q.plan = Some(plan.clone());
-            q.rtt_fe_be_ms = rtt;
-            q.dist_fe_be_miles = dist;
-        }
-        if self.cfg.cache_static && !static_from_cache {
-            self.fes[fe].fill_static(plan.static_content, plan.static_bytes, net.now());
-            self.metrics.inc("cdnsim.fe_static_cache_fills");
-        }
-        if self.fes[fe].caches_results() {
-            let out = self.fes[fe].store_result(kw_id, plan.clone(), net.now());
-            if out.evicted > 0 {
-                self.metrics
-                    .add("cdnsim.fe_result_cache_evictions", out.evicted);
-            }
-        }
-        Self::send_served_response(
-            net,
-            &ServedResponse {
-                client_conn,
-                plan,
-                static_from_cache,
-            },
-        );
-    }
-
-    /// A complete [`Marker::BeQuery`] arrived at the primary BE: stamp
-    /// the query's plan and processing time. Returns the (possibly
-    /// stretched) processing delay and the fetch attempt the eventual
-    /// reply must match against.
-    pub(super) fn be_query_arrived(&mut self, qid: u64) -> (SimDuration, u32) {
-        let be = self.queries[&qid].be;
-        let (proc, plan) = self.be_process(qid, be);
-        let q = self.queries.get_mut(&qid).unwrap();
-        q.proc_ms = proc.as_millis_f64();
-        q.plan = Some(plan);
-        (proc, q.fetch_attempts)
+        let conn = self.open_leg(net, qid, fe, hedge_be, Slot::Hedge);
+        // The hedge arms no deadline or hedge timer of its own.
+        self.queries[&qid].req.send_as_be_query(net, conn, End::A);
     }
 
     /// Runs the query's keyword through BE `be`'s query handler and
@@ -612,157 +417,58 @@ impl App for ServiceWorld {
                 }
             }
             Leg::Client => {
-                let qid = info.qid;
-                match end {
-                    End::B => {
-                        // Server side of the client leg (FE, or BE when
-                        // split TCP is off): request bytes.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.srv_progress.absorb(spans);
-                            let done = q.srv_progress.complete(Marker::Request, q.req.bytes);
-                            if done && !q.request_handled {
-                                q.request_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            self.handle_request_arrived(net, qid);
-                        }
-                    }
-                    End::A => {
-                        // Client receiving the response; completion is
-                        // signalled by the FIN.
-                        if let Some(q) = self.queries.get_mut(&qid) {
-                            q.resp_progress.absorb(spans);
-                        }
-                    }
+                // Only the server side of the client leg (FE, or BE when
+                // split TCP is off) tracks bytes: the request. The
+                // client's response completes with the FIN.
+                if end == End::A {
+                    return;
                 }
-            }
-            Leg::Be => {
                 let qid = info.qid;
-                match end {
-                    End::B => {
-                        // BE receiving the forwarded query.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.srv_progress.absorb(spans);
-                            let done = q.srv_progress.complete(Marker::BeQuery, q.req.bytes);
-                            if done && !q.be_handled {
-                                q.be_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            let (proc, attempt) = self.be_query_arrived(qid);
-                            self.push_action(net, proc, Action::BeReply { qid, attempt });
-                        }
-                    }
-                    End::A => {
-                        // FE receiving the BE response.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.resp_progress.absorb(spans);
-                            let expected = match &q.plan {
-                                Some(p) => {
-                                    p.dynamic_bytes
-                                        + if q.static_from_cache {
-                                            0
-                                        } else {
-                                            p.static_bytes
-                                        }
-                                }
-                                None => u64::MAX,
-                            };
-                            let done = q.resp_progress.complete(Marker::BeResponse, expected);
-                            if done && !q.resp_handled {
-                                q.resp_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            self.handle_be_response_complete(net, qid);
-                        }
-                    }
+                let q = match self.queries.get_mut(&qid) {
+                    Some(q) => q,
+                    None => return,
+                };
+                q.req_progress.absorb(spans);
+                if q.request_handled || !q.req_progress.complete(Marker::Request, q.req.bytes) {
+                    return;
                 }
+                q.request_handled = true;
+                self.handle_request_arrived(net, qid);
             }
-            Leg::Hedge => {
+            Leg::Fetch(slot) => {
                 let qid = info.qid;
+                let q = match self.queries.get_mut(&qid) {
+                    Some(q) => q,
+                    None => return,
+                };
+                let (req_bytes, static_from_cache) = (q.req.bytes, q.static_from_cache);
+                let leg = match q.leg(slot) {
+                    Some(leg) => leg,
+                    None => return,
+                };
                 match end {
                     End::B => {
-                        // Hedge BE receiving the duplicated query.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.hedge_srv_progress.absorb(spans);
-                            let done = q.hedge_srv_progress.complete(Marker::BeQuery, q.req.bytes);
-                            if done && !q.hedge_be_handled {
-                                q.hedge_be_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            // Unless the hedge was cancelled before its
-                            // BE saw the query.
-                            if let Some(be) = self.queries[&qid].hedge_be {
-                                let (proc, plan) = self.be_process(qid, be);
-                                let q = self.queries.get_mut(&qid).unwrap();
-                                q.hedge_proc_ms = proc.as_millis_f64();
-                                q.hedge_plan = Some(plan);
-                                let attempt = q.fetch_attempts;
-                                self.push_action(net, proc, Action::HedgeReply { qid, attempt });
-                            }
+                        // The BE receiving the forwarded query.
+                        leg.query_progress.absorb(spans);
+                        if leg.handled || !leg.query_progress.complete(Marker::BeQuery, req_bytes) {
+                            return;
                         }
+                        leg.handled = true;
+                        let be = leg.be;
+                        let (proc, plan) = self.be_process(qid, be);
+                        let q = self.queries.get_mut(&qid).unwrap();
+                        let attempt = q.fetch_attempts;
+                        let leg = q.leg(slot).as_mut().unwrap();
+                        leg.proc_ms = proc.as_millis_f64();
+                        leg.plan = Some(plan);
+                        self.push_action(net, proc, Action::BeReply { qid, attempt, slot });
                     }
                     End::A => {
-                        // FE receiving the hedge BE response; first
-                        // complete response (primary or hedge) wins.
-                        let ready = {
-                            let q = match self.queries.get_mut(&qid) {
-                                Some(q) => q,
-                                None => return,
-                            };
-                            q.hedge_resp_progress.absorb(spans);
-                            let expected = match &q.hedge_plan {
-                                Some(p) => {
-                                    p.dynamic_bytes
-                                        + if q.static_from_cache {
-                                            0
-                                        } else {
-                                            p.static_bytes
-                                        }
-                                }
-                                None => u64::MAX,
-                            };
-                            let done = q.hedge_resp_progress.complete(Marker::BeResponse, expected);
-                            if done && !q.resp_handled {
-                                q.resp_handled = true;
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if ready {
-                            self.hedge_response_complete(net, qid);
+                        // The FE receiving the BE response.
+                        leg.resp_progress.absorb(spans);
+                        let expected = leg.expected_bytes(static_from_cache);
+                        if leg.resp_progress.complete(Marker::BeResponse, expected) {
+                            self.complete_fetch(net, qid, slot);
                         }
                     }
                 }
@@ -789,12 +495,11 @@ impl App for ServiceWorld {
             Action::Start(spec) => self.start_query(net, spec, 0),
             Action::StartRetry { spec, attempt } => self.start_query(net, spec, attempt),
             Action::FeServe { qid } => self.act_fe_serve(net, qid),
-            Action::BeReply { qid, attempt } => self.act_be_reply(net, qid, attempt),
+            Action::BeReply { qid, attempt, slot } => self.act_be_reply(net, qid, attempt, slot),
             Action::BeDirectReply { qid } => self.act_be_direct_reply(net, qid),
             Action::ClientDeadline { qid } => self.act_client_deadline(net, qid),
             Action::FetchDeadline { qid, attempt } => self.act_fetch_deadline(net, qid, attempt),
             Action::HedgeFire { qid, attempt } => self.act_hedge_fire(net, qid, attempt),
-            Action::HedgeReply { qid, attempt } => self.act_hedge_reply(net, qid, attempt),
             Action::FaultStart { window } => self.act_fault_start(net, window),
             Action::MappingEpoch => self.act_mapping_epoch(net),
         }

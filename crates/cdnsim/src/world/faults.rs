@@ -177,24 +177,14 @@ impl ServiceWorld {
             self.conn_info.remove(&c);
             self.warmup_progress.remove(&c);
         }
-        let stalled: Vec<ConnId> = self
-            .queries
-            .values()
-            .flat_map(|q| {
-                let mut v = Vec::new();
-                if let (Some(f), Some(c)) = (q.fe, q.be_conn) {
-                    if hit(f, q.be) && !q.resp_handled {
-                        v.push(c);
-                    }
+        let mut stalled = Vec::new();
+        for q in self.queries.values() {
+            for leg in [&q.fetch, &q.hedge].into_iter().flatten() {
+                if q.fe.is_some_and(|f| hit(f, leg.be)) {
+                    stalled.push(leg.conn);
                 }
-                if let (Some(f), Some(c), Some(hb)) = (q.fe, q.hedge_conn, q.hedge_be) {
-                    if hit(f, hb) && !q.resp_handled {
-                        v.push(c);
-                    }
-                }
-                v
-            })
-            .collect();
+            }
+        }
         for c in stalled {
             net.abort(c);
         }

@@ -201,11 +201,18 @@ impl CompletedQuery {
     }
 }
 
+/// Which of a query's (at most two) concurrent BE fetch legs: the
+/// primary fetch, or the hedged duplicate to the next-nearest live site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    Primary,
+    Hedge,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Leg {
     Client,
-    Be,
-    Hedge,
+    Fetch(Slot),
     Warmup { fe: usize, be: usize },
 }
 
@@ -220,12 +227,11 @@ enum Action {
     Start(QuerySpec),
     StartRetry { spec: QuerySpec, attempt: u32 },
     FeServe { qid: u64 },
-    BeReply { qid: u64, attempt: u32 },
+    BeReply { qid: u64, attempt: u32, slot: Slot },
     BeDirectReply { qid: u64 },
     ClientDeadline { qid: u64 },
     FetchDeadline { qid: u64, attempt: u32 },
     HedgeFire { qid: u64, attempt: u32 },
-    HedgeReply { qid: u64, attempt: u32 },
     FaultStart { window: usize },
     MappingEpoch,
 }
@@ -255,6 +261,35 @@ impl BreakerState {
     }
 }
 
+/// One FE→BE fetch over a checked-out persistent connection. Holding a
+/// leg means holding `be`'s in-flight slot; [`ServiceWorld::drop_leg`]
+/// is the one place that slot is released.
+struct FetchLeg {
+    be: usize,
+    conn: ConnId,
+    // The BE's result, once it has processed the query.
+    plan: Option<ResponsePlan>,
+    proc_ms: f64,
+    // BE side: query bytes received, and whether the BE has taken the
+    // query up; FE side: response bytes received.
+    query_progress: RecvProgress,
+    resp_progress: RecvProgress,
+    handled: bool,
+}
+
+impl FetchLeg {
+    /// Bytes of the BE response on this leg: the dynamic portion, plus
+    /// the static portion when it rides along (`u64::MAX` until the BE
+    /// has processed the query).
+    fn expected_bytes(&self, static_from_cache: bool) -> u64 {
+        match &self.plan {
+            Some(p) if static_from_cache => p.dynamic_bytes,
+            Some(p) => p.dynamic_bytes + p.static_bytes,
+            None => u64::MAX,
+        }
+    }
+}
+
 struct QueryState {
     client: usize,
     fe: Option<usize>,
@@ -268,7 +303,6 @@ struct QueryState {
     degraded: bool,
     t_start: SimTime,
     client_conn: ConnId,
-    be_conn: Option<ConnId>,
     req: RequestSpec,
     plan: Option<ResponsePlan>,
     proc_ms: f64,
@@ -278,11 +312,8 @@ struct QueryState {
     rtt_client_fe_ms: f64,
     rtt_fe_be_ms: f64,
     dist_fe_be_miles: f64,
-    srv_progress: RecvProgress,
-    resp_progress: RecvProgress,
+    req_progress: RecvProgress,
     request_handled: bool,
-    be_handled: bool,
-    resp_handled: bool,
     // Whether the FE served the static portion from its cache at serve
     // time. With the default unbounded prewarmed cache this equals
     // `cfg.cache_static`; a bounded static cache can miss, in which case
@@ -290,21 +321,22 @@ struct QueryState {
     // ablation.
     static_from_cache: bool,
     // Overload machinery. `shed` marks an admission-control rejection;
-    // `fe_counted`/`be_counted` record which in-flight counters this
-    // query holds (take-semantics make double-decrement impossible).
+    // `fe_counted` records that this query holds its FE's in-flight slot.
     shed: bool,
     fe_counted: bool,
-    be_counted: Option<usize>,
-    // Hedged-fetch leg: its own connection, progress trackers and plan,
-    // so primary and hedge responses never mix state.
-    hedge_conn: Option<ConnId>,
-    hedge_be: Option<usize>,
-    hedge_counted: Option<usize>,
-    hedge_plan: Option<ResponsePlan>,
-    hedge_proc_ms: f64,
-    hedge_srv_progress: RecvProgress,
-    hedge_resp_progress: RecvProgress,
-    hedge_be_handled: bool,
+    // The outstanding BE fetch legs. A leg is taken out when its
+    // response completes or it is cancelled, so first response wins.
+    fetch: Option<FetchLeg>,
+    hedge: Option<FetchLeg>,
+}
+
+impl QueryState {
+    fn leg(&mut self, slot: Slot) -> &mut Option<FetchLeg> {
+        match slot {
+            Slot::Primary => &mut self.fetch,
+            Slot::Hedge => &mut self.hedge,
+        }
+    }
 }
 
 /// The world: clients, FEs, BEs, pools, in-flight queries.

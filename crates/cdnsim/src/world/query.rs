@@ -46,16 +46,19 @@ impl ServiceWorld {
         )
     }
 
-    pub(super) fn checkout_be_conn_as(
+    /// Opens fetch leg `slot` of query `qid` to BE `be`: checks out a
+    /// pooled FE↔BE connection (or opens a cold one) and takes the BE's
+    /// in-flight slot. Returns the leg's connection.
+    pub(super) fn open_leg(
         &mut self,
         net: &mut Net,
+        qid: u64,
         fe: usize,
         be: usize,
-        qid: u64,
-        leg: Leg,
+        slot: Slot,
     ) -> ConnId {
         // Skip pooled connections a fault has aborted since check-in.
-        let conn = self.free_pool.get_mut(&(fe, be)).and_then(|v| {
+        let pooled = self.free_pool.get_mut(&(fe, be)).and_then(|v| {
             while let Some(c) = v.pop() {
                 if !net.is_aborted(c) {
                     return Some(c);
@@ -63,25 +66,46 @@ impl ServiceWorld {
             }
             None
         });
-        let conn = match conn {
+        let conn = match pooled {
             Some(c) => {
                 net.set_session(c, qid);
                 c
             }
             None => self.open_be_conn(net, fe, be, qid),
         };
+        let leg = Leg::Fetch(slot);
         self.conn_info.insert(conn, ConnInfo { qid, leg });
+        self.be_inflight[be] += 1;
+        if self.overload_active() {
+            self.metrics
+                .set_gauge("cdnsim.be_inflight_hiwater", self.be_inflight[be] as f64);
+        }
+        *self.queries.get_mut(&qid).unwrap().leg(slot) = Some(FetchLeg {
+            be,
+            conn,
+            plan: None,
+            proc_ms: 0.0,
+            query_progress: RecvProgress::new(),
+            resp_progress: RecvProgress::new(),
+            handled: false,
+        });
         conn
     }
 
-    pub(super) fn checkout_be_conn(
-        &mut self,
-        net: &mut Net,
-        fe: usize,
-        be: usize,
-        qid: u64,
-    ) -> ConnId {
-        self.checkout_be_conn_as(net, fe, be, qid, Leg::Be)
+    /// Ends a fetch leg and releases its BE in-flight slot. `Some(fe)`
+    /// returns the connection of a leg whose response completed to the
+    /// FE's pool; `None` cancels the leg, aborting its connection.
+    pub(super) fn drop_leg(&mut self, net: &mut Net, leg: FetchLeg, pool_fe: Option<usize>) {
+        let n = &mut self.be_inflight[leg.be];
+        debug_assert!(*n > 0, "BE {} in-flight slot released twice", leg.be);
+        *n -= 1;
+        match pool_fe {
+            Some(fe) => self.return_be_conn(leg.conn, fe, leg.be),
+            None => {
+                net.abort(leg.conn);
+                self.conn_info.remove(&leg.conn);
+            }
+        }
     }
 
     pub(super) fn return_be_conn(&mut self, conn: ConnId, fe: usize, be: usize) {
@@ -213,7 +237,6 @@ impl ServiceWorld {
                 degraded: false,
                 t_start: net.now(),
                 client_conn: conn,
-                be_conn: None,
                 req,
                 plan: None,
                 proc_ms: 0.0,
@@ -223,23 +246,13 @@ impl ServiceWorld {
                 rtt_client_fe_ms: rtt_client,
                 rtt_fe_be_ms,
                 dist_fe_be_miles: dist_fe_be,
-                srv_progress: RecvProgress::new(),
-                resp_progress: RecvProgress::new(),
+                req_progress: RecvProgress::new(),
                 request_handled: false,
-                be_handled: false,
-                resp_handled: false,
                 static_from_cache: false,
                 shed: false,
                 fe_counted: false,
-                be_counted: None,
-                hedge_conn: None,
-                hedge_be: None,
-                hedge_counted: None,
-                hedge_plan: None,
-                hedge_proc_ms: 0.0,
-                hedge_srv_progress: RecvProgress::new(),
-                hedge_resp_progress: RecvProgress::new(),
-                hedge_be_handled: false,
+                fetch: None,
+                hedge: None,
             },
         );
         Some(qid)
@@ -266,30 +279,6 @@ impl ServiceWorld {
         } else {
             self.metrics.inc("cdnsim.retry_budget_exhausted");
             false
-        }
-    }
-
-    /// Cancels an outstanding hedge leg (loser of the race, or cleanup
-    /// on failover/deadline): aborts its connection and releases its
-    /// BE in-flight slot.
-    pub(super) fn cancel_hedge(&mut self, net: &mut Net, qid: u64) {
-        let (conn, counted) = match self.queries.get_mut(&qid) {
-            Some(q) => (q.hedge_conn.take(), q.hedge_counted.take()),
-            None => return,
-        };
-        if let Some(c) = conn {
-            net.abort(c);
-            self.conn_info.remove(&c);
-        }
-        if let Some(b) = counted {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        if let Some(q) = self.queries.get_mut(&qid) {
-            q.hedge_be = None;
-            q.hedge_plan = None;
-            q.hedge_be_handled = false;
-            q.hedge_srv_progress = RecvProgress::new();
-            q.hedge_resp_progress = RecvProgress::new();
         }
     }
 
@@ -333,7 +322,6 @@ impl ServiceWorld {
         let static_content = self.cfg.composer.static_content;
         let q = self.queries.get_mut(&qid).unwrap();
         q.degraded = true;
-        q.be_conn = None;
         q.plan = Some(ResponsePlan::new(
             static_bytes,
             static_content,
@@ -354,22 +342,24 @@ impl ServiceWorld {
         };
         net.abort(q.client_conn);
         self.conn_info.remove(&q.client_conn);
-        if let Some(bc) = q.be_conn {
-            net.abort(bc);
-            self.conn_info.remove(&bc);
+        // Release every in-flight slot the abandoned attempt held. A
+        // primary leg whose BE already processed the query leaves its
+        // result as the record's ground truth.
+        let (plan, proc_ms) = match &q.fetch {
+            Some(FetchLeg {
+                plan: Some(p),
+                proc_ms,
+                ..
+            }) => (Some(p.clone()), *proc_ms),
+            _ => (q.plan, q.proc_ms),
+        };
+        for leg in [q.fetch, q.hedge].into_iter().flatten() {
+            self.drop_leg(net, leg, None);
         }
-        if let Some(hc) = q.hedge_conn {
-            net.abort(hc);
-            self.conn_info.remove(&hc);
-        }
-        // Release every in-flight slot the abandoned attempt held.
         if q.fe_counted {
             if let Some(fe) = q.fe {
                 self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
             }
-        }
-        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
         }
         let (trace, traced) = match net.trace_mut().try_take_session(qid) {
             Some(t) => (t, true),
@@ -407,10 +397,9 @@ impl ServiceWorld {
             class: q.class,
             t_start: q.t_start,
             t_done: net.now(),
-            plan: q
-                .plan
+            plan: plan
                 .unwrap_or_else(|| ResponsePlan::new(1, 0, 1, httpsim::CONTENT_ID_STATIC_BASE)),
-            proc_ms: q.proc_ms,
+            proc_ms,
             fe_overhead_ms: q.fe_overhead_ms,
             fetch_start: q.fetch_start,
             fetch_done: q.fetch_done,
@@ -448,20 +437,14 @@ impl ServiceWorld {
         self.conn_info.remove(&q.client_conn);
         // Orderly close from the client side too.
         net.close(q.client_conn, End::A);
-        // Release any in-flight slots still held (shed queries never
-        // took one; served queries released the BE slot at response
-        // completion).
+        // Release the FE in-flight slot (shed queries never took one).
+        // No fetch leg is left: every path that closes the client leg
+        // completed or cancelled them first.
+        debug_assert!(q.fetch.is_none() && q.hedge.is_none());
         if q.fe_counted {
             if let Some(fe) = q.fe {
                 self.fe_inflight[fe] = self.fe_inflight[fe].saturating_sub(1);
             }
-        }
-        for b in [q.be_counted, q.hedge_counted].into_iter().flatten() {
-            self.be_inflight[b] = self.be_inflight[b].saturating_sub(1);
-        }
-        if let Some(hc) = q.hedge_conn {
-            net.abort(hc);
-            self.conn_info.remove(&hc);
         }
         let (trace, traced) = match net.trace_mut().try_take_session(qid) {
             Some(t) => (t, true),

@@ -1,5 +1,8 @@
 use super::*;
+use crate::service::{BreakerPolicy, LoadModel, RetryBudget, RetryPolicy};
 use nettopo::vantage::{planetlab_like, VantageConfig};
+use nettopo::{BurstLossParams, FaultPlan};
+use proptest::prelude::*;
 use tcpsim::Sim;
 
 fn small_world(cfg: ServiceConfig) -> Sim<ServiceWorld> {
@@ -729,6 +732,64 @@ fn hedged_fetch_wins_when_primary_be_stalls() {
 }
 
 #[test]
+fn primary_wins_while_hedge_is_outstanding() {
+    // No fault and a 1 ms hedge delay: the hedge leg to the
+    // next-nearest site is launched while the primary is still out,
+    // and the nearer primary BE answers first. The primary serves,
+    // the losing hedge is cancelled, and every slot drains.
+    let mut probe = small_world(ServiceConfig::google_like(24));
+    let fe = probe.with(|w, _| w.default_fe(0));
+    let be = probe.with(|w, _| w.be_of_fe(fe));
+    let cfg = ServiceConfig::google_like(24).with_hedged_fetches(SimDuration::from_millis(1));
+    let mut sim = small_world(cfg);
+    sim.with(|w, net| {
+        w.schedule_query(
+            net,
+            SimDuration::from_millis(1),
+            QuerySpec {
+                client: 0,
+                keyword: 3,
+                fixed_fe: Some(fe),
+                instant_followup: false,
+            },
+        );
+    });
+    sim.run();
+    let done = sim.with(|w, _| w.drain_completed());
+    assert_eq!(done.len(), 1);
+    let cq = &done[0];
+    assert_eq!(cq.outcome, QueryOutcome::Ok);
+    assert_eq!(cq.be, be, "the primary BE must have served the response");
+    assert_eq!(cq.rtt_fe_be_ms, sim.app().fe_be_rtt_ms(fe, be));
+    assert!(cq.proc_ms > 0.0);
+    let counter = |sim: &Sim<ServiceWorld>, name| sim.app().metrics().counter(name);
+    assert_eq!(counter(&sim, "cdnsim.hedges_launched"), Some(1));
+    assert_eq!(counter(&sim, "cdnsim.hedge_wins"), None);
+    assert_slots_drained(&sim);
+}
+
+/// Asserts a run left nothing behind: no query in flight, every FE and
+/// BE in-flight slot released, and no client or fetch connection still
+/// mapped to a query.
+fn assert_slots_drained(sim: &Sim<ServiceWorld>) {
+    let w = sim.app();
+    assert_eq!(w.in_flight(), 0);
+    for fe in 0..w.fe_count() {
+        assert_eq!(w.fe_inflight(fe), 0, "FE {fe} slot leaked");
+    }
+    for be in 0..w.cfg.be_sites.len() {
+        assert_eq!(w.be_inflight(be), 0, "BE {be} slot leaked");
+    }
+    let live: Vec<Leg> = w
+        .conn_info
+        .values()
+        .map(|i| i.leg)
+        .filter(|leg| !matches!(leg, Leg::Warmup { .. }))
+        .collect();
+    assert!(live.is_empty(), "query connections left mapped: {live:?}");
+}
+
+#[test]
 fn breaker_opens_then_fast_fails_later_fetches() {
     // Every BE dark, 500 ms fetch deadline, breaker trips after one
     // failure with a long cooldown. Query 1 pays the deadline and
@@ -880,4 +941,111 @@ fn action_table_stays_at_peak_pending_timers() {
         "{slots} action slots for {peak} pending timers"
     );
     assert!(peak < N / 2, "deadlines of {peak} queries overlapped");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Chaos at the world level: random fault plans (including an
+    /// outage of the serving FE's own BE, so fetches fail over) against
+    /// random overload policies. Every FE/BE in-flight slot a query
+    /// takes is released exactly once — a second release trips
+    /// `drop_leg`'s debug assertion — and the world drains completely.
+    #[test]
+    fn chaos_releases_every_slot_exactly_once(
+        seed in 0u64..10_000,
+        n_queries in 2usize..10,
+        stagger_ms in 0u64..60,
+        fault_bits in 0u32..64,     // 6 fault kinds, one bit each
+        with_model in 0u32..2,
+        watermark in 0u32..4,       // 0 = no admission control
+        with_retry in 0u32..2,
+        budget_sel in 0u32..4,      // 0 = no budget, else max_tokens = sel - 1
+        hedge_ms in 0u64..300,      // 0 = no hedging
+        breaker_threshold in 0u32..4, // 0 = no breaker
+        fetch_deadline_ms in 0u64..1_500, // below 200 = no fetch deadline
+    ) {
+        let mut probe = small_world(ServiceConfig::google_like(seed));
+        let fe = probe.with(|w, _| w.default_fe(0));
+        let be = probe.with(|w, _| w.be_of_fe(fe));
+        let ms = SimTime::from_millis;
+        let mut plan = FaultPlan::default();
+        if fault_bits & 1 != 0 {
+            plan = plan.fe_outage(fe, ms(50), ms(900));
+        }
+        if fault_bits & 2 != 0 {
+            plan = plan.fe_brownout(fe, SimTime::ZERO, ms(2_000), 8.0);
+        }
+        if fault_bits & 4 != 0 {
+            plan = plan.be_outage(be, ms(20), ms(1_500));
+        }
+        if fault_bits & 8 != 0 {
+            plan = plan.fe_capacity_dip(fe, SimTime::ZERO, ms(3_000), 0.25);
+        }
+        if fault_bits & 16 != 0 {
+            plan = plan.conn_drop(fe, be, ms(30));
+        }
+        if fault_bits & 32 != 0 {
+            plan = plan.fe_be_burst_loss(fe, be, SimTime::ZERO, ms(5_000), BurstLossParams::moderate());
+        }
+        let mut cfg = ServiceConfig::google_like(seed).with_faults(plan);
+        if fetch_deadline_ms >= 200 {
+            cfg = cfg.with_fe_fetch_deadline(SimDuration::from_millis(fetch_deadline_ms));
+        }
+        if with_model != 0 {
+            cfg = cfg.with_load_model(LoadModel {
+                fe_capacity: 2,
+                be_capacity: 4,
+                max_slowdown: 10.0,
+            });
+        }
+        if watermark > 0 {
+            cfg = cfg.with_admission_control(watermark);
+        }
+        // A client deadline is always armed: a blackholed peer
+        // retransmits forever, so an unbounded client would never let
+        // the world quiesce.
+        cfg = cfg.with_client_retry(RetryPolicy {
+            deadline: SimDuration::from_millis(3_000),
+            max_retries: if with_retry != 0 { 2 } else { 0 },
+            base_backoff: SimDuration::from_millis(150),
+            jitter: 0.3,
+        });
+        if budget_sel > 0 {
+            cfg = cfg.with_retry_budget(RetryBudget {
+                max_tokens: (budget_sel - 1) as f64,
+                refill_per_sec: 0.5,
+            });
+        }
+        if hedge_ms > 0 {
+            cfg = cfg.with_hedged_fetches(SimDuration::from_millis(hedge_ms));
+        }
+        if breaker_threshold > 0 {
+            cfg = cfg.with_circuit_breaker(BreakerPolicy {
+                failure_threshold: breaker_threshold,
+                cooldown: SimDuration::from_millis(700),
+            });
+        }
+        let mut sim = small_world(cfg);
+        sim.with(|w, net| {
+            w.install_faults(net);
+            w.prewarm(net, fe, be, 2);
+            for c in 0..n_queries {
+                w.schedule_query(
+                    net,
+                    SimDuration::from_millis(1 + stagger_ms * c as u64),
+                    QuerySpec {
+                        client: c,
+                        keyword: c as u64,
+                        fixed_fe: Some(fe),
+                        instant_followup: false,
+                    },
+                );
+            }
+        });
+        sim.run();
+        let done = sim.with(|w, _| w.drain_completed());
+        prop_assert_eq!(done.len(), n_queries);
+        assert_slots_drained(&sim);
+    }
 }
